@@ -211,38 +211,38 @@ func FromUint64(u uint64, n int) Vec {
 // where d is a vector with entries in {-1,0,+1}. The second result is false
 // when any component of the sum leaves {0,1}, i.e. the move is not a valid
 // binary transition (the case the transition Hamiltonian annihilates).
-func (v Vec) AddSigned(d []int64) (Vec, bool) {
+func (v Vec) AddSigned(d []int64) (Vec, bool) { return v.addSigned(d, 1) }
+
+// SubSigned returns v - d under the same rules as AddSigned.
+func (v Vec) SubSigned(d []int64) (Vec, bool) { return v.addSigned(d, -1) }
+
+// addSigned returns v + sign·d for sign ±1. Every ±u move of the feasible
+// walks (schedule dry run, closure BFS, subspace compile) goes through
+// here, so it works on the packed words directly and allocates nothing.
+func (v Vec) addSigned(d []int64, sign int64) (Vec, bool) {
 	if len(d) != v.n {
 		panic(fmt.Sprintf("bitvec: AddSigned length mismatch %d != %d", len(d), v.n))
 	}
 	out := v
 	for i, di := range d {
-		switch di {
+		w, bit := i/64, uint64(1)<<(uint(i)%64)
+		switch sign * di {
 		case 0:
 		case 1:
-			if v.Bit(i) {
+			if v.w[w]&bit != 0 {
 				return Vec{}, false
 			}
-			out.Set(i, true)
+			out.w[w] |= bit
 		case -1:
-			if !v.Bit(i) {
+			if v.w[w]&bit == 0 {
 				return Vec{}, false
 			}
-			out.Set(i, false)
+			out.w[w] &^= bit
 		default:
-			panic(fmt.Sprintf("bitvec: AddSigned entry %d at %d not in {-1,0,1}", di, i))
+			panic(fmt.Sprintf("bitvec: AddSigned entry %d at %d not in {-1,0,1}", sign*di, i))
 		}
 	}
 	return out, true
-}
-
-// SubSigned returns v - d under the same rules as AddSigned.
-func (v Vec) SubSigned(d []int64) (Vec, bool) {
-	neg := make([]int64, len(d))
-	for i, di := range d {
-		neg[i] = -di
-	}
-	return v.AddSigned(neg)
 }
 
 // Compare orders vectors first by length then lexicographically by bit

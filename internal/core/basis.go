@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"rasengan/internal/bitvec"
@@ -74,33 +75,97 @@ func vecKey(u []int64) string {
 // to a fixpoint (each replacement can enable further reductions — on
 // large facility-location kernels one pass leaves support-50 vectors that
 // three passes shrink to the natural support-18 facility toggles) and
-// scans all ordered pairs rather than only j > i. It returns a new slice;
-// the input is not modified.
+// scans all ordered pairs rather than only j > i. Within a pair the sum
+// is tried before the difference, and the difference (of the original
+// u_i) must beat the count after any sum replacement. It returns a new
+// slice; the input is not modified.
+//
+// The scan works in place on cached nonzero counts and support bitmasks.
+// A pair whose supports overlap in at most half of u_j's support is
+// skipped without reading its entries: outside the overlap exactly one
+// operand is nonzero, so nnz(u_i ± u_j) ≥ nnz(u_i) + nnz(u_j) − 2·overlap
+// ≥ nnz(u_i) and neither combination can replace u_i. The rest are
+// combined into two reused scratch vectors, abandoning each combination
+// once it leaves {-1,0,1} or stops being sparser than u_i.
 func Simplify(basis [][]int64) [][]int64 {
 	out := make([][]int64, len(basis))
+	n := 0
 	for i, u := range basis {
 		out[i] = append([]int64(nil), u...)
+		n = max(n, len(u))
 	}
+	words := (n + 63) / 64
+	nnz := make([]int, len(out))
+	masks := make([]uint64, len(out)*words)
+	setSupport := func(i int) {
+		m := masks[i*words : (i+1)*words]
+		clear(m)
+		c := 0
+		for k, v := range out[i] {
+			if v != 0 {
+				m[k/64] |= 1 << (uint(k) % 64)
+				c++
+			}
+		}
+		nnz[i] = c
+	}
+	for i := range out {
+		setSupport(i)
+	}
+	add := make([]int64, n)
+	sub := make([]int64, n)
+
 	const maxPasses = 10
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for i := 0; i < len(out); i++ {
+			mi := masks[i*words : (i+1)*words]
 			for j := 0; j < len(out); j++ {
 				if i == j {
 					continue
 				}
-				add := make([]int64, len(out[i]))
-				sub := make([]int64, len(out[i]))
-				for k := range out[i] {
-					add[k] = out[i][k] + out[j][k]
-					sub[k] = out[i][k] - out[j][k]
+				overlap := 0
+				for w, x := range masks[j*words : (j+1)*words] {
+					overlap += bits.OnesCount64(x & mi[w])
 				}
-				if IsTernary(add) && NonZero(add) < NonZero(out[i]) {
-					out[i] = add
-					improved = true
+				if 2*overlap <= nnz[j] {
+					continue
 				}
-				if IsTernary(sub) && NonZero(sub) < NonZero(out[i]) {
-					out[i] = sub
+				ui, uj := out[i], out[j]
+				// Each combination stays a candidate while it is ternary
+				// and sparser than u_i; the scan stops once neither is.
+				addOK, subOK := true, true
+				addNZ, subNZ := 0, 0
+				for k, a := range ui {
+					b := uj[k]
+					s, d := a+b, a-b
+					add[k], sub[k] = s, d
+					if s != 0 {
+						addNZ++
+						addOK = addOK && s >= -1 && s <= 1 && addNZ < nnz[i]
+					}
+					if d != 0 {
+						subNZ++
+						subOK = subOK && d >= -1 && d <= 1 && subNZ < nnz[i]
+					}
+					if !addOK && !subOK {
+						break
+					}
+				}
+				if !addOK && !subOK {
+					continue
+				}
+				best := nnz[i]
+				var repl []int64
+				if addOK && addNZ > 0 {
+					repl, best = add, addNZ
+				}
+				if subOK && subNZ > 0 && subNZ < best {
+					repl = sub
+				}
+				if repl != nil {
+					copy(ui, repl[:len(ui)])
+					setSupport(i)
 					improved = true
 				}
 			}
@@ -140,17 +205,31 @@ func TernaryKernelVectors(C *linalg.IntMat, opts TernarySearchOptions) [][]int64
 	if opts.MaxVectors <= 0 {
 		opts.MaxVectors = 512
 	}
-	// Suffix bounds: the maximum |contribution| the undecided variables
-	// i..n-1 can add to each row.
-	sufAbs := make([][]int64, rows)
-	for r := 0; r < rows; r++ {
-		sufAbs[r] = make([]int64, n+1)
-		for i := n - 1; i >= 0; i-- {
-			c := C.At(r, i)
+	// The columns in compressed sparse form (row indices and coefficients
+	// of column i at colPtr[i]:colPtr[i+1]), and the suffix bounds
+	// column-major: suf[i*rows+r] is the maximum |contribution| the
+	// undecided variables i..n-1 can add to row r.
+	colPtr := make([]int, n+1)
+	var colRow []int
+	var colCoef []int64
+	suf := make([]int64, (n+1)*rows)
+	for i := 0; i < n; i++ {
+		for r := 0; r < rows; r++ {
+			if c := C.Data[r*C.Cols+i]; c != 0 {
+				colRow = append(colRow, r)
+				colCoef = append(colCoef, c)
+			}
+		}
+		colPtr[i+1] = len(colRow)
+	}
+	for i := n - 1; i >= 0; i-- {
+		copy(suf[i*rows:(i+1)*rows], suf[(i+1)*rows:(i+2)*rows])
+		for k := colPtr[i]; k < colPtr[i+1]; k++ {
+			c := colCoef[k]
 			if c < 0 {
 				c = -c
 			}
-			sufAbs[r][i] = sufAbs[r][i+1] + c
+			suf[i*rows+colRow[k]] += c
 		}
 	}
 	var out [][]int64
@@ -163,9 +242,16 @@ func TernaryKernelVectors(C *linalg.IntMat, opts TernarySearchOptions) [][]int64
 		if nodes > opts.NodeBudget || len(out) >= opts.MaxVectors {
 			return
 		}
-		for r := 0; r < rows; r++ {
-			if s := sums[r]; s > sufAbs[r][i] || -s > sufAbs[r][i] {
-				return
+		// Interval pruning. The parent node passed this test for every
+		// row, and only the rows of column i-1 changed a sum or a bound
+		// since, so only those are tested again.
+		if i > 0 {
+			bound := suf[i*rows : (i+1)*rows]
+			for k := colPtr[i-1]; k < colPtr[i]; k++ {
+				r := colRow[k]
+				if s := sums[r]; s > bound[r] || -s > bound[r] {
+					return
+				}
 			}
 		}
 		if i == n {
@@ -174,31 +260,26 @@ func TernaryKernelVectors(C *linalg.IntMat, opts TernarySearchOptions) [][]int64
 			}
 			return
 		}
-		vals := []int64{0, 1, -1}
+		vals := [...]int64{0, 1, -1}
+		nv := len(vals)
 		if !anyNonzero {
-			vals = []int64{0, 1} // canonical: first nonzero is +1
+			nv = 2 // canonical: first nonzero is +1
 		}
-		for _, v := range vals {
-			if v != 0 && support == opts.MaxSupport {
+		for _, v := range vals[:nv] {
+			if v == 0 {
+				dfs(i+1, support, anyNonzero)
+				continue
+			}
+			if support == opts.MaxSupport {
 				continue
 			}
 			cur[i] = v
-			if v != 0 {
-				for r := 0; r < rows; r++ {
-					sums[r] += v * C.At(r, i)
-				}
+			for k := colPtr[i]; k < colPtr[i+1]; k++ {
+				sums[colRow[k]] += v * colCoef[k]
 			}
-			ns := support
-			na := anyNonzero
-			if v != 0 {
-				ns++
-				na = true
-			}
-			dfs(i+1, ns, na)
-			if v != 0 {
-				for r := 0; r < rows; r++ {
-					sums[r] -= v * C.At(r, i)
-				}
+			dfs(i+1, support+1, true)
+			for k := colPtr[i]; k < colPtr[i+1]; k++ {
+				sums[colRow[k]] -= v * colCoef[k]
 			}
 			cur[i] = 0
 		}

@@ -1,0 +1,306 @@
+package core
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"rasengan/internal/linalg"
+	"rasengan/internal/problems"
+)
+
+// The reference oracles below are the straightforward forms of Simplify
+// and TernaryKernelVectors: Simplify allocating both combinations of every
+// ordered pair, the DFS re-reading the matrix through IntMat.At and
+// re-testing every row at every node. The production versions must match
+// them exactly, vector for vector and in order.
+
+func simplifyReference(basis [][]int64) [][]int64 {
+	out := make([][]int64, len(basis))
+	for i, u := range basis {
+		out[i] = append([]int64(nil), u...)
+	}
+	const maxPasses = 10
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
+		for i := 0; i < len(out); i++ {
+			for j := 0; j < len(out); j++ {
+				if i == j {
+					continue
+				}
+				add := make([]int64, len(out[i]))
+				sub := make([]int64, len(out[i]))
+				for k := range out[i] {
+					add[k] = out[i][k] + out[j][k]
+					sub[k] = out[i][k] - out[j][k]
+				}
+				if IsTernary(add) && NonZero(add) < NonZero(out[i]) {
+					out[i] = add
+					improved = true
+				}
+				if IsTernary(sub) && NonZero(sub) < NonZero(out[i]) {
+					out[i] = sub
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return out
+}
+
+func ternaryKernelVectorsReference(C *linalg.IntMat, opts TernarySearchOptions) [][]int64 {
+	n := C.Cols
+	rows := C.Rows
+	if opts.MaxSupport <= 0 || opts.MaxSupport > n {
+		opts.MaxSupport = n
+	}
+	if opts.NodeBudget <= 0 {
+		opts.NodeBudget = 4_000_000
+	}
+	if opts.MaxVectors <= 0 {
+		opts.MaxVectors = 512
+	}
+	// Suffix bounds: the maximum |contribution| the undecided variables
+	// i..n-1 can add to each row.
+	sufAbs := make([][]int64, rows)
+	for r := 0; r < rows; r++ {
+		sufAbs[r] = make([]int64, n+1)
+		for i := n - 1; i >= 0; i-- {
+			c := C.At(r, i)
+			if c < 0 {
+				c = -c
+			}
+			sufAbs[r][i] = sufAbs[r][i+1] + c
+		}
+	}
+	var out [][]int64
+	cur := make([]int64, n)
+	sums := make([]int64, rows)
+	nodes := 0
+	var dfs func(i, support int, anyNonzero bool)
+	dfs = func(i, support int, anyNonzero bool) {
+		nodes++
+		if nodes > opts.NodeBudget || len(out) >= opts.MaxVectors {
+			return
+		}
+		for r := 0; r < rows; r++ {
+			if s := sums[r]; s > sufAbs[r][i] || -s > sufAbs[r][i] {
+				return
+			}
+		}
+		if i == n {
+			if anyNonzero {
+				out = append(out, append([]int64(nil), cur...))
+			}
+			return
+		}
+		vals := []int64{0, 1, -1}
+		if !anyNonzero {
+			vals = []int64{0, 1} // canonical: first nonzero is +1
+		}
+		for _, v := range vals {
+			if v != 0 && support == opts.MaxSupport {
+				continue
+			}
+			cur[i] = v
+			if v != 0 {
+				for r := 0; r < rows; r++ {
+					sums[r] += v * C.At(r, i)
+				}
+			}
+			ns := support
+			na := anyNonzero
+			if v != 0 {
+				ns++
+				na = true
+			}
+			dfs(i+1, ns, na)
+			if v != 0 {
+				for r := 0; r < rows; r++ {
+					sums[r] -= v * C.At(r, i)
+				}
+			}
+			cur[i] = 0
+		}
+	}
+	dfs(0, 0, false)
+	sort.SliceStable(out, func(a, b int) bool { return NonZero(out[a]) < NonZero(out[b]) })
+	return out
+}
+
+func equalVectors(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
+
+func cloneVectors(vs [][]int64) [][]int64 {
+	out := make([][]int64, len(vs))
+	for i, u := range vs {
+		out[i] = slices.Clone(u)
+	}
+	return out
+}
+
+// randomBasis returns m vectors of length n with entries in [-2, 2]: signed
+// sums of two or three sparse ternary atoms, clipped, with an occasional
+// stray entry — inputs on which Algorithm 1 finds replacements across
+// several passes, as it does on rational nullspace bases.
+func randomBasis(rng *rand.Rand, n, m int) [][]int64 {
+	atoms := make([][]int64, 1+m/2)
+	for a := range atoms {
+		u := make([]int64, n)
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			u[rng.Intn(n)] = int64(1 - 2*rng.Intn(2))
+		}
+		atoms[a] = u
+	}
+	basis := make([][]int64, m)
+	for i := range basis {
+		u := make([]int64, n)
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			a := atoms[rng.Intn(len(atoms))]
+			sign := int64(1 - 2*rng.Intn(2))
+			for j := range u {
+				u[j] = max(-2, min(2, u[j]+sign*a[j]))
+			}
+		}
+		if rng.Intn(5) == 0 {
+			u[rng.Intn(n)] = int64(rng.Intn(5) - 2)
+		}
+		basis[i] = u
+	}
+	return basis
+}
+
+func checkSimplifyMatches(t *testing.T, basis [][]int64) (changed bool) {
+	t.Helper()
+	in := cloneVectors(basis)
+	got := Simplify(basis)
+	want := simplifyReference(basis)
+	if !equalVectors(got, want) {
+		t.Fatalf("Simplify(%v)\n  = %v\nwant %v", basis, got, want)
+	}
+	if !equalVectors(basis, in) {
+		t.Fatalf("Simplify mutated its input")
+	}
+	return !equalVectors(got, in)
+}
+
+// TestSimplifyMatchesReference compares the in-place scan with the
+// reference on seeded inputs whose lengths cross the 64- and 128-bit
+// support-mask word boundaries, and on every suite cell's nullspace basis.
+func TestSimplifyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	changed := 0
+	for _, n := range []int{1, 3, 9, 40, 63, 64, 65, 100, 127, 128, 129, 160, 192, 200} {
+		for _, m := range []int{1, 2, 5, 12, 24} {
+			for trial := 0; trial < 4; trial++ {
+				if checkSimplifyMatches(t, randomBasis(rng, n, m)) {
+					changed++
+				}
+			}
+		}
+	}
+	if changed < 100 {
+		t.Fatalf("only %d seeded inputs were simplified at all; the generator no longer exercises replacements", changed)
+	}
+	for _, b := range problems.Suite() {
+		checkSimplifyMatches(t, linalg.Nullspace(b.Generate(0).C))
+	}
+}
+
+// FuzzSimplify decodes (position, value) byte pairs into m vectors of
+// length n ≤ 192 with entries in [-2, 2] and compares Simplify with the
+// reference.
+func FuzzSimplify(f *testing.F) {
+	f.Add(byte(4), byte(2), []byte{0, 1, 2, 1, 0, 3, 1, 4})
+	f.Add(byte(64), byte(4), []byte{3, 1, 64, 3, 3, 3, 64, 1, 65, 4, 70, 0, 3, 4, 65, 1})
+	f.Add(byte(129), byte(6), []byte{0, 3, 127, 1, 128, 3, 129, 1, 0, 1, 128, 1, 5, 4, 129, 3, 127, 1, 200, 0})
+	f.Add(byte(191), byte(11), []byte{10, 3, 70, 1, 150, 3, 10, 1, 70, 3, 190, 4, 150, 1, 190, 1, 33, 2})
+	f.Fuzz(func(t *testing.T, nb, mb byte, data []byte) {
+		n, m := 1+int(nb)%192, 1+int(mb)%12
+		basis := make([][]int64, m)
+		for i := range basis {
+			basis[i] = make([]int64, n)
+		}
+		for k := 0; k+1 < len(data); k += 2 {
+			basis[(k/2)%m][int(data[k])%n] = int64(data[k+1]%5) - 2
+		}
+		checkSimplifyMatches(t, basis)
+	})
+}
+
+// TestSimplifyAllocsBounded gates the in-place scan: Simplify allocates
+// its output copies and a fixed handful of work buffers, however many
+// pairs it combines and passes it runs.
+func TestSimplifyAllocsBounded(t *testing.T) {
+	inputs := map[string][][]int64{
+		"random-150x60": randomBasis(rand.New(rand.NewSource(22)), 150, 60),
+	}
+	for _, label := range []string{"F4", "S4", "K4"} {
+		b, err := problems.ByLabel(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[label] = linalg.Nullspace(b.Generate(0).C)
+	}
+	for name, basis := range inputs {
+		limit := float64(len(basis) + 8)
+		if allocs := testing.AllocsPerRun(5, func() { Simplify(basis) }); allocs > limit {
+			t.Errorf("%s: Simplify of %d vectors allocates %v times; want at most %v", name, len(basis), allocs, limit)
+		}
+	}
+}
+
+// randomConstraints returns a rows×cols integer matrix with sparse entries
+// in [-2, 2].
+func randomConstraints(rng *rand.Rand, rows, cols int) *linalg.IntMat {
+	C := linalg.NewIntMat(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if rng.Intn(3) == 0 {
+				C.Set(r, c, int64(rng.Intn(5)-2))
+			}
+		}
+	}
+	return C
+}
+
+// TestTernaryKernelVectorsMatchesReference compares the flat DFS with the
+// reference, including runs cut short by each budget, on random matrices
+// and on the suite's constraint matrices.
+func TestTernaryKernelVectorsMatchesReference(t *testing.T) {
+	check := func(name string, C *linalg.IntMat, opts TernarySearchOptions) int {
+		t.Helper()
+		got := TernaryKernelVectors(C, opts)
+		want := ternaryKernelVectorsReference(C, opts)
+		if !equalVectors(got, want) {
+			t.Fatalf("%s %+v:\n  got  %v\n  want %v", name, opts, got, want)
+		}
+		return len(got)
+	}
+	rng := rand.New(rand.NewSource(23))
+	found := 0
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(4), 3+rng.Intn(10)
+		C := randomConstraints(rng, rows, cols)
+		for _, opts := range []TernarySearchOptions{
+			{},
+			{MaxSupport: 1 + rng.Intn(cols)},
+			{NodeBudget: 1 + rng.Intn(400)},
+			{MaxVectors: 1 + rng.Intn(4)},
+		} {
+			found += check("random", C, opts)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no random matrix had a ternary kernel vector; the generator no longer exercises the search")
+	}
+	for _, b := range problems.Suite() {
+		C := b.Generate(0).C
+		for sup := 2; sup <= 4; sup++ {
+			check(b.Label(), C, TernarySearchOptions{MaxSupport: sup, NodeBudget: 20000, MaxVectors: 64})
+		}
+	}
+}

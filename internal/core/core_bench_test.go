@@ -142,3 +142,28 @@ func BenchmarkOptimizerIterMapKPP3(b *testing.B) {
 func BenchmarkOptimizerIterCompiledKPP3(b *testing.B) {
 	benchOptimizerIter(b, problems.KPP(3, 0), EngineCompiled)
 }
+
+// benchCompile measures the one-shot compile of one solve — BuildBasis,
+// BuildSchedule and NewExecutor with default options — which the solver
+// pays before its first optimizer iteration.
+func benchCompile(b *testing.B, p *problems.Problem) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		basis, err := BuildBasis(p, BasisOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sched := BuildSchedule(p, basis, ScheduleOptions{})
+		if _, err := NewExecutor(p, sched.Ops, ExecOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCompileF4(b *testing.B) { benchCompile(b, problems.FLP(4, 0)) }
+
+func BenchmarkCompileS4(b *testing.B) { benchCompile(b, problems.SCP(4, 0)) }
+
+func BenchmarkCompileG4(b *testing.B) { benchCompile(b, problems.GCP(4, 0)) }
+
+func BenchmarkCompileK4(b *testing.B) { benchCompile(b, problems.KPP(4, 0)) }

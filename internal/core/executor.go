@@ -113,6 +113,7 @@ func (o ExecOptions) shotsForSegment(segIdx int) int {
 // latency models.
 type opStats struct {
 	oneQ, twoQ int
+	cx         int
 	depth      int
 	durationNS float64
 }
@@ -208,16 +209,23 @@ func NewExecutor(p *problems.Problem, ops []Transition, opts ExecOptions) (*Exec
 	if opts.Device != nil {
 		durations = opts.Device.Durations
 	}
+	first := make(map[string]int, len(ops)) // vector → index of its first op
 	for i, tr := range ops {
-		circ := tr.OperatorCircuit(p.N, 0.5)
-		dec := transpile.Decompose(circ)
-		e.stats[i] = opStats{
-			oneQ:       len(dec.Gates) - dec.CountTwoQubit(),
-			twoQ:       dec.CountTwoQubit(),
-			depth:      dec.Depth(),
-			durationNS: transpile.CircuitDurationNS(dec, durations),
+		k := vecKey(tr.U)
+		if j, ok := first[k]; ok {
+			e.stats[i] = e.stats[j]
+		} else {
+			first[k] = i
+			dec := transpile.Decompose(tr.OperatorCircuit(p.N, 0.5))
+			e.stats[i] = opStats{
+				oneQ:       len(dec.Gates) - dec.CountTwoQubit(),
+				twoQ:       dec.CountTwoQubit(),
+				cx:         dec.CountKind(quantum.GateCX),
+				depth:      dec.Depth(),
+				durationNS: transpile.CircuitDurationNS(dec, durations),
+			}
 		}
-		e.TotalCX += dec.CountKind(quantum.GateCX)
+		e.TotalCX += e.stats[i].cx
 	}
 
 	// Segmentation.

@@ -9,6 +9,8 @@ import (
 	"rasengan/internal/bitvec"
 	"rasengan/internal/device"
 	"rasengan/internal/problems"
+	"rasengan/internal/quantum"
+	"rasengan/internal/transpile"
 )
 
 func TestNewExecutorEmptySchedule(t *testing.T) {
@@ -238,5 +240,49 @@ func TestDepthBudgetFromDeviceT2(t *testing.T) {
 	// No device: the paper's deployable default.
 	if (ExecOptions{}).depthBudget() != 50 {
 		t.Error("default budget wrong")
+	}
+}
+
+// TestNewExecutorSharedStatsMatchPerOp checks that sharing one
+// transpilation among the operators of equal vectors — repeated rounds of
+// the pool, and an equal vector in a separate slice — gives every operator
+// the same stats and CX total as transpiling it alone.
+func TestNewExecutorSharedStatsMatchPerOp(t *testing.T) {
+	p := problems.SCP(2, 0)
+	basis, err := BuildBasis(p, BasisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := BuildSchedule(p, basis, ScheduleOptions{DisablePrune: true}).Ops
+	ops = append(ops, Transition{U: append([]int64(nil), ops[0].U...)})
+	distinct := map[string]bool{}
+	for _, tr := range ops {
+		distinct[vecKey(tr.U)] = true
+	}
+	if len(distinct) >= len(ops) {
+		t.Fatalf("schedule of %d ops repeats no vector; the test needs repeats", len(ops))
+	}
+	e, err := NewExecutor(p, ops, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durations := transpile.DefaultDurations()
+	wantCX := 0
+	for i, tr := range ops {
+		dec := transpile.Decompose(tr.OperatorCircuit(p.N, 0.5))
+		want := opStats{
+			oneQ:       len(dec.Gates) - dec.CountTwoQubit(),
+			twoQ:       dec.CountTwoQubit(),
+			cx:         dec.CountKind(quantum.GateCX),
+			depth:      dec.Depth(),
+			durationNS: transpile.CircuitDurationNS(dec, durations),
+		}
+		if e.stats[i] != want {
+			t.Errorf("op %d: stats %+v, transpiled alone %+v", i, e.stats[i], want)
+		}
+		wantCX += want.cx
+	}
+	if e.TotalCX != wantCX {
+		t.Errorf("TotalCX = %d, want %d", e.TotalCX, wantCX)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rasengan/internal/bitvec"
 	"rasengan/internal/problems"
 )
@@ -217,12 +219,10 @@ func expandCount(reach map[bitvec.Vec]bool, u []int64) int {
 
 func applyExpand(reach map[bitvec.Vec]bool, u []int64) { expandInto(reach, u) }
 
+// sortVecs sorts v into Compare order. Callers pass distinct map keys, so
+// the unstable sort has a single possible result.
 func sortVecs(v []bitvec.Vec) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j].Compare(v[j-1]) < 0; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
+	slices.SortFunc(v, bitvec.Vec.Compare)
 }
 
 // CoverageFraction returns, for a dry-run trace, the fraction of the

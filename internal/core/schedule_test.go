@@ -1,8 +1,12 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"rasengan/internal/bitvec"
 	"rasengan/internal/problems"
 )
 
@@ -148,5 +152,31 @@ func TestSparsestFirstSmallCoverage(t *testing.T) {
 		if len(sf.Reachable) != want {
 			t.Errorf("%s: greedy chain covers %d of %d", label, len(sf.Reachable), want)
 		}
+	}
+}
+
+// TestSortVecsMatchesSortSlice checks sortVecs against sort.Slice over
+// Compare on a few thousand shuffled distinct states.
+func TestSortVecsMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const n = 150
+	seen := map[bitvec.Vec]bool{}
+	var states []bitvec.Vec
+	for len(states) < 4000 {
+		v := bitvec.New(n)
+		for k := 0; k < 6; k++ {
+			v.Set(rng.Intn(n), true)
+		}
+		if !seen[v] {
+			seen[v] = true
+			states = append(states, v)
+		}
+	}
+	rng.Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
+	want := slices.Clone(states)
+	sort.Slice(want, func(i, j int) bool { return want[i].Compare(want[j]) < 0 })
+	sortVecs(states)
+	if !slices.Equal(states, want) {
+		t.Fatal("sortVecs order differs from sort.Slice over Compare")
 	}
 }

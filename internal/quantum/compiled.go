@@ -59,9 +59,9 @@ const (
 // clone's CompiledState.
 type CompiledSpace struct {
 	n      int
-	states []bitvec.Vec          // sorted by bitvec.Compare; index == rank
-	index  map[bitvec.Vec]int32  // inverse of states
-	opRow  []int32               // schedule op -> row in partners (-1: all-zero op)
+	states []bitvec.Vec         // sorted by bitvec.Compare; index == rank
+	index  map[bitvec.Vec]int32 // inverse of states
+	opRow  []int32              // schedule op -> row in partners (-1: all-zero op)
 	// partners[r][i] encodes state i's role under distinct vector r:
 	// 0 — fixed point (no valid partner in either direction);
 	// +(j+1) — i is the lower pair member, partner j = i+u;
