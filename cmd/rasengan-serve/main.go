@@ -118,7 +118,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "optional diagnostics listener (net/http/pprof + /debug/vars); bind to localhost")
 		queueCap  = flag.Int("queue", 64, "job queue capacity (full queue answers 429 with a computed Retry-After)")
 		executors = flag.Int("executors", 2, "jobs solved concurrently (each fans onto the shared worker pool)")
-		maxJobs   = flag.Int("max-concurrent-jobs", 0, "alias for -executors; overrides it when > 0")
 		budget    = flag.Int("worker-budget", 0, "total compute budget leased across executing solves (0 = worker-pool width); 1 job gets all of it, N jobs ~1/N each")
 		maxBatch  = flag.Int("max-batch", 16, "largest accepted POST /v1/solve/batch item count")
 		shedMark  = flag.Float64("shed-watermark", 0, "queue fraction in (0,1) past which new work is shed with 429 before the queue is literally full; 0 disables")
@@ -154,9 +153,6 @@ func main() {
 	}
 	if *queueCap < 1 {
 		fatal("-queue must be >= 1", "got", *queueCap)
-	}
-	if *maxJobs > 0 {
-		*executors = *maxJobs
 	}
 	if *executors < 1 {
 		fatal("-executors must be >= 1", "got", *executors)

@@ -9,10 +9,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/metrics"
 	"rasengan/internal/problems"
 )
@@ -160,118 +162,36 @@ func (g *Gateway) Metrics() *metrics.Registry { return g.reg }
 // Handler returns the routed HTTP handler — the same API surface as
 // one rasengan-serve, fronting all of them.
 func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", g.instrument("solve", g.handleSolve))
-	mux.HandleFunc("POST /v1/solve/batch", g.instrument("solve_batch", g.handleBatch))
-	mux.HandleFunc("GET /v1/jobs", g.instrument("jobs", g.handleJobs))
-	mux.HandleFunc("GET /v1/jobs/{id}", g.instrument("job", g.handleJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", g.instrument("job_events", g.handleJobEvents))
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", g.instrument("cancel", g.handleCancel))
-	mux.HandleFunc("GET /v1/problems", g.instrument("problems", g.handleProblems))
-	mux.HandleFunc("GET /healthz", g.instrument("healthz", g.handleHealth))
-	mux.HandleFunc("GET /metrics", g.handleMetrics)
-	return mux
+	return api.NewHandler(api.RouteMetrics{
+		Registry:     g.reg,
+		DurationName: "rasengan_gateway_request_duration_seconds",
+		DurationHelp: "Gateway request latency by route.",
+		CountName:    "rasengan_gateway_requests_total",
+		CountHelp:    "Gateway requests by route and status.",
+	}, api.Handlers{
+		Solve:      g.handleSolve,
+		SolveBatch: g.handleBatch,
+		Jobs:       g.handleJobs,
+		Job:        g.handleJob,
+		JobEvents:  g.handleJobEvents,
+		Cancel:     g.handleCancel,
+		Problems:   g.handleProblems,
+		Health:     g.handleHealth,
+	})
 }
-
-func (g *Gateway) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	dur := g.reg.HistogramWith("rasengan_gateway_request_duration_seconds",
-		"Gateway request latency by route.", nil, [2]string{"route", route})
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		dur.Observe(time.Since(start).Seconds())
-		g.reg.CounterWith("rasengan_gateway_requests_total", "Gateway requests by route and status.",
-			[2]string{"route", route}, [2]string{"code", fmt.Sprintf("%d", rec.code)}).Inc()
-	}
-}
-
-// statusRecorder mirrors the service's: transparent to streaming
-// handlers (Flush forwards; Unwrap serves http.ResponseController).
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 func drainBody(resp *http.Response) {
 	if resp != nil && resp.Body != nil {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, api.MaxBodyBytes))
 		resp.Body.Close()
 	}
-}
-
-const maxBodyBytes = 1 << 20
-
-// --- envelopes (field order and omitempty mirror internal/service, so
-// re-encoding after the job-id rewrite preserves the payload layout;
-// Result/Telemetry/Progress stay raw bytes end to end) ---
-
-type solveEnvelope struct {
-	JobID     string          `json:"job_id"`
-	Status    string          `json:"status"`
-	Cached    bool            `json:"cached"`
-	Error     string          `json:"error,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
-	Telemetry json.RawMessage `json:"telemetry,omitempty"`
-	Progress  json.RawMessage `json:"progress,omitempty"`
-}
-
-type batchItemEnvelope struct {
-	Code        int             `json:"code"`
-	JobID       string          `json:"job_id,omitempty"`
-	Status      string          `json:"status,omitempty"`
-	Cached      bool            `json:"cached,omitempty"`
-	Error       string          `json:"error,omitempty"`
-	RetryAfterS int             `json:"retry_after_s,omitempty"`
-	Result      json.RawMessage `json:"result,omitempty"`
-}
-
-type errorEnvelope struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorEnvelope{Error: fmt.Sprintf(format, args...)})
 }
 
 // writeNoBackend answers a request the ring cannot place: every
 // backend is ejected. Retryable by construction.
 func (g *Gateway) writeNoBackend(w http.ResponseWriter) {
 	g.noBackend.Inc()
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, "no live backend available; retry later")
-}
-
-// solveBody is the minimally parsed solve request: enough to hash the
-// spec and to rebuild a re-submittable stash. Unknown fields are left
-// to the backend's strict decoder (the original bytes are forwarded
-// verbatim; this struct never replaces them on the primary path).
-type solveBody struct {
-	Spec      json.RawMessage `json:"spec"`
-	Config    json.RawMessage `json:"config,omitempty"`
-	WaitMS    int             `json:"wait_ms,omitempty"`
-	TimeoutMS int             `json:"timeout_ms,omitempty"`
+	api.WriteRetry(w, http.StatusServiceUnavailable, 1, "no live backend available; retry later")
 }
 
 // specHashOf parses and canonically hashes the request's spec. The int
@@ -294,8 +214,8 @@ func specHashOf(raw json.RawMessage) (string, int, error) {
 // stashBody rebuilds a solve request suitable for failover re-submission
 // and hedging: identical spec/config/timeout (so the cache key matches on
 // any node) with wait_ms stripped (polls must not block a failover hop).
-func stashBody(b solveBody) []byte {
-	out, err := json.Marshal(solveBody{Spec: b.Spec, Config: b.Config, TimeoutMS: b.TimeoutMS})
+func stashBody(req api.SolveRequest) []byte {
+	out, err := json.Marshal(api.SolveRequest{Spec: req.Spec, Config: req.Config, TimeoutMS: req.TimeoutMS})
 	if err != nil {
 		return nil
 	}
@@ -359,6 +279,14 @@ func (g *Gateway) forwardTo(ctx context.Context, b *Backend, method, path string
 
 var errNoBackend = errors.New("cluster: no live backend")
 
+// jobPath is the backend path of an upstream job id plus an optional
+// route suffix. The id is path-escaped: it comes from a client-supplied
+// gateway id, and an encoded '/' or '?' in it must stay part of the one
+// {id} segment instead of becoming another route or a query.
+func jobPath(upstream, suffix string) string {
+	return "/v1/jobs/" + url.PathEscape(upstream) + suffix
+}
+
 // copyResponse forwards an upstream response verbatim (status,
 // Retry-After, JSON body) — used for error and rejection passthrough.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
@@ -369,33 +297,53 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 		w.Header().Set("Content-Type", ct)
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, io.LimitReader(resp.Body, maxBodyBytes))
+	_, _ = io.Copy(w, io.LimitReader(resp.Body, api.MaxBodyBytes))
 }
 
-// decodeEnvelope reads and closes an upstream solve/job response body.
-func decodeEnvelope(resp *http.Response) (solveEnvelope, error) {
+// decodeJob reads and closes an upstream solve/job response body.
+func decodeJob(resp *http.Response) (api.Job, error) {
 	defer drainBody(resp)
-	var env solveEnvelope
-	err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&env)
-	return env, err
+	var job api.Job
+	err := json.NewDecoder(io.LimitReader(resp.Body, api.MaxBodyBytes)).Decode(&job)
+	return job, err
+}
+
+// relayJob answers with an upstream solve, poll or cancel response and
+// closes it. Rejections and errors pass through verbatim; a 200/202 job
+// view is re-sent under the gateway id that rename returns for its
+// upstream id (rename may also record the job).
+func relayJob(w http.ResponseWriter, resp *http.Response, rename func(upstream string) string) {
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		defer drainBody(resp)
+		copyResponse(w, resp)
+		return
+	}
+	job, err := decodeJob(resp)
+	if err != nil {
+		api.WriteError(w, http.StatusBadGateway, "bad backend response: %v", err)
+		return
+	}
+	job.JobID = rename(job.JobID)
+	api.WriteJSON(w, resp.StatusCode, job)
 }
 
 // --- handlers ---
 
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	// The backend's strict decoder, so the gateway rejects exactly what a
+	// backend would; the original bytes are what gets forwarded.
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
+	var req api.SolveRequest
+	if err == nil {
+		err = api.Decode(bytes.NewReader(raw), &req)
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read request: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	var body solveBody
-	if err := json.Unmarshal(raw, &body); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return
-	}
-	hash, code, err := specHashOf(body.Spec)
+	hash, code, err := specHashOf(req.Spec)
 	if err != nil {
-		writeError(w, code, "%v", err)
+		api.WriteError(w, code, "%v", err)
 		return
 	}
 	resp, backend, err := g.forwardKeyed(r.Context(), hash, http.MethodPost, "/v1/solve", raw, true)
@@ -404,43 +352,24 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 			g.writeNoBackend(w)
 			return
 		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusBadGateway, "backend unreachable: %v", err)
+		api.WriteRetry(w, http.StatusBadGateway, 1, "backend unreachable: %v", err)
 		return
 	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		defer drainBody(resp)
-		copyResponse(w, resp)
-		return
-	}
-	env, err := decodeEnvelope(resp)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "bad backend response: %v", err)
-		return
-	}
-	id := gatewayJobID(backend.ID, env.JobID)
-	g.jobs.put(id, &jobEntry{backend: backend.ID, upstream: env.JobID, specHash: hash, request: stashBody(body)})
-	env.JobID = id
-	writeJSON(w, resp.StatusCode, env)
-}
-
-type batchBody struct {
-	Items []json.RawMessage `json:"items"`
+	relayJob(w, resp, func(upstream string) string {
+		id := gatewayJobID(backend.ID, upstream)
+		g.jobs.put(id, &jobEntry{backend: backend.ID, upstream: upstream, specHash: hash, request: stashBody(req)})
+		return id
+	})
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read request: %v", err)
+	var req api.BatchRequest
+	if err := api.Decode(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), &req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	var body batchBody
-	if err := json.Unmarshal(raw, &body); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return
-	}
-	if len(body.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no items")
+	if len(req.Items) == 0 {
+		api.WriteError(w, http.StatusBadRequest, "batch has no items")
 		return
 	}
 
@@ -449,30 +378,24 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// on every node they land on.
 	type shardItem struct {
 		idx  int
-		body solveBody
-		raw  json.RawMessage
+		req  api.SolveRequest
 		hash string
 	}
-	items := make([]batchItemEnvelope, len(body.Items))
+	items := make([]api.BatchItem, len(req.Items))
 	shards := map[string][]shardItem{}
-	for i, rawItem := range body.Items {
-		var sb solveBody
-		if err := json.Unmarshal(rawItem, &sb); err != nil {
-			items[i] = batchItemEnvelope{Code: http.StatusBadRequest, Error: "invalid item: " + err.Error()}
-			continue
-		}
-		hash, code, err := specHashOf(sb.Spec)
+	for i, item := range req.Items {
+		hash, code, err := specHashOf(item.Spec)
 		if err != nil {
-			items[i] = batchItemEnvelope{Code: code, Error: err.Error()}
+			items[i] = api.BatchItem{Code: code, Error: err.Error()}
 			continue
 		}
 		owner, ok := g.ring.Lookup(hash)
 		if !ok {
 			g.noBackend.Inc()
-			items[i] = batchItemEnvelope{Code: http.StatusServiceUnavailable, Error: "no live backend available", RetryAfterS: 1}
+			items[i] = api.BatchItem{Code: http.StatusServiceUnavailable, Error: "no live backend available", RetryAfterS: 1}
 			continue
 		}
-		shards[owner] = append(shards[owner], shardItem{idx: i, body: sb, raw: rawItem, hash: hash})
+		shards[owner] = append(shards[owner], shardItem{idx: i, req: item, hash: hash})
 	}
 
 	var wg sync.WaitGroup
@@ -481,9 +404,9 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(owner string, shard []shardItem) {
 			defer wg.Done()
-			sub := batchBody{Items: make([]json.RawMessage, len(shard))}
+			sub := api.BatchRequest{Items: make([]api.SolveRequest, len(shard))}
 			for i, it := range shard {
-				sub.Items[i] = it.raw
+				sub.Items[i] = it.req
 			}
 			subRaw, _ := json.Marshal(sub)
 			b := g.backends[owner]
@@ -491,22 +414,20 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				mu.Lock()
 				for _, it := range shard {
-					items[it.idx] = batchItemEnvelope{Code: http.StatusServiceUnavailable,
+					items[it.idx] = api.BatchItem{Code: http.StatusServiceUnavailable,
 						Error: "backend unreachable: " + err.Error(), RetryAfterS: 1}
 				}
 				mu.Unlock()
 				return
 			}
 			defer drainBody(resp)
-			var subResp struct {
-				Items []batchItemEnvelope `json:"items"`
-			}
+			var subResp api.BatchResponse
 			if resp.StatusCode != http.StatusOK ||
-				json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&subResp) != nil ||
+				json.NewDecoder(io.LimitReader(resp.Body, api.MaxBodyBytes)).Decode(&subResp) != nil ||
 				len(subResp.Items) != len(shard) {
 				mu.Lock()
 				for _, it := range shard {
-					items[it.idx] = batchItemEnvelope{Code: http.StatusBadGateway,
+					items[it.idx] = api.BatchItem{Code: http.StatusBadGateway,
 						Error: fmt.Sprintf("bad backend response (status %d)", resp.StatusCode)}
 				}
 				mu.Unlock()
@@ -518,7 +439,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				if out.JobID != "" {
 					id := gatewayJobID(owner, out.JobID)
 					g.jobs.put(id, &jobEntry{backend: owner, upstream: out.JobID,
-						specHash: it.hash, request: stashBody(it.body)})
+						specHash: it.hash, request: stashBody(it.req)})
 					out.JobID = id
 				}
 				items[it.idx] = out
@@ -527,9 +448,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(owner, shard)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, struct {
-		Items []batchItemEnvelope `json:"items"`
-	}{items})
+	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Items: items})
 }
 
 // resolveJob maps a gateway job id to its entry, reconstructing one
@@ -552,7 +471,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	entry, ok := g.resolveJob(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
 	owner := g.backends[entry.backend]
@@ -572,18 +491,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		g.failoverPoll(w, r, id, entry)
 		return
 	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		defer drainBody(resp)
-		copyResponse(w, resp)
-		return
-	}
-	env, err := decodeEnvelope(resp)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "bad backend response: %v", err)
-		return
-	}
-	env.JobID = id
-	writeJSON(w, resp.StatusCode, env)
+	relayJob(w, resp, func(string) string { return id })
 }
 
 // pollOwner issues the upstream job GET, optionally racing it against a
@@ -595,7 +503,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 // cache. Only a terminal done answer wins the race; anything else is
 // discarded and the owner's response stands.
 func (g *Gateway) pollOwner(ctx context.Context, owner *Backend, entry jobEntry) (*http.Response, error) {
-	path := "/v1/jobs/" + entry.upstream
+	path := jobPath(entry.upstream, "")
 	if g.cfg.HedgeDelay <= 0 || entry.request == nil || entry.specHash == "" {
 		return g.forwardTo(ctx, owner, http.MethodGet, path, nil, true)
 	}
@@ -678,9 +586,9 @@ func (g *Gateway) pollOwner(ctx context.Context, owner *Backend, entry jobEntry)
 			}
 			// Peek: only a terminal done answer may win (a 200 from
 			// POST /v1/solve with wait_ms=0 can still be a queued view).
-			env, err := decodeEnvelope(resp)
+			job, err := decodeJob(resp)
 			hcancel() // body fully consumed by the decode
-			if err != nil || env.Status != "done" {
+			if err != nil || job.Status != api.StatusDone {
 				continue
 			}
 			g.hedgeWins.Inc()
@@ -690,7 +598,7 @@ func (g *Gateway) pollOwner(ctx context.Context, owner *Backend, entry jobEntry)
 					drainBody(o.resp)
 				}
 			}()
-			return rebuildResponse(resp.StatusCode, env), nil
+			return rebuildResponse(resp.StatusCode, job), nil
 		}
 	}
 }
@@ -708,10 +616,10 @@ func (c cancelOnClose) Close() error {
 	return err
 }
 
-// rebuildResponse wraps an already-decoded envelope back into an
+// rebuildResponse wraps an already-decoded job back into an
 // *http.Response so the hedge path slots into the normal decode flow.
-func rebuildResponse(code int, env solveEnvelope) *http.Response {
-	body, _ := json.Marshal(env)
+func rebuildResponse(code int, job api.Job) *http.Response {
+	body, _ := json.Marshal(job)
 	return &http.Response{
 		StatusCode: code,
 		Header:     http.Header{"Content-Type": []string{"application/json"}},
@@ -727,8 +635,7 @@ func rebuildResponse(code int, env solveEnvelope) *http.Response {
 func (g *Gateway) failoverPoll(w http.ResponseWriter, r *http.Request, id string, entry jobEntry) {
 	if entry.request == nil || entry.specHash == "" {
 		g.failoversLost.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
+		api.WriteRetry(w, http.StatusServiceUnavailable, 1,
 			"backend %q unavailable and job %q has no failover record; resubmit the spec or retry later",
 			entry.backend, id)
 		return
@@ -739,57 +646,35 @@ func (g *Gateway) failoverPoll(w http.ResponseWriter, r *http.Request, id string
 			g.writeNoBackend(w)
 			return
 		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusBadGateway, "failover failed: %v", err)
+		api.WriteRetry(w, http.StatusBadGateway, 1, "failover failed: %v", err)
 		return
 	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		defer drainBody(resp)
-		copyResponse(w, resp)
-		return
-	}
-	env, err := decodeEnvelope(resp)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "bad backend response: %v", err)
-		return
-	}
-	g.failoversExec.Inc()
-	g.log.Warn("job failed over", "job_id", id, "from", entry.backend, "to", backend.ID,
-		"upstream_id", env.JobID, "spec_hash", entry.specHash)
-	// Re-point the stable gateway id at the job's new home; later polls
-	// go straight there.
-	g.jobs.put(id, &jobEntry{backend: backend.ID, upstream: env.JobID,
-		specHash: entry.specHash, request: entry.request})
-	env.JobID = id
-	writeJSON(w, resp.StatusCode, env)
+	relayJob(w, resp, func(upstream string) string {
+		g.failoversExec.Inc()
+		g.log.Warn("job failed over", "job_id", id, "from", entry.backend, "to", backend.ID,
+			"upstream_id", upstream, "spec_hash", entry.specHash)
+		// Re-point the stable gateway id at the job's new home; later polls
+		// go straight there.
+		g.jobs.put(id, &jobEntry{backend: backend.ID, upstream: upstream,
+			specHash: entry.specHash, request: entry.request})
+		return id
+	})
 }
 
 func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	entry, ok := g.resolveJob(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
 	owner := g.backends[entry.backend]
-	resp, err := g.forwardTo(r.Context(), owner, http.MethodPost, "/v1/jobs/"+entry.upstream+"/cancel", nil, true)
+	resp, err := g.forwardTo(r.Context(), owner, http.MethodPost, jobPath(entry.upstream, "/cancel"), nil, true)
 	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusBadGateway, "backend unreachable: %v", err)
+		api.WriteRetry(w, http.StatusBadGateway, 1, "backend unreachable: %v", err)
 		return
 	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		defer drainBody(resp)
-		copyResponse(w, resp)
-		return
-	}
-	env, err := decodeEnvelope(resp)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "bad backend response: %v", err)
-		return
-	}
-	env.JobID = id
-	writeJSON(w, resp.StatusCode, env)
+	relayJob(w, resp, func(string) string { return id })
 }
 
 // handleJobEvents proxies the owner's SSE stream byte-for-byte,
@@ -801,14 +686,13 @@ func (g *Gateway) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	entry, ok := g.resolveJob(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
 	owner := g.backends[entry.backend]
-	resp, err := g.upstreamDo(r.Context(), http.MethodGet, owner.URL()+"/v1/jobs/"+entry.upstream+"/events", nil)
+	resp, err := g.upstreamDo(r.Context(), http.MethodGet, owner.URL()+jobPath(entry.upstream, "/events"), nil)
 	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "backend unreachable: %v", err)
+		api.WriteRetry(w, http.StatusServiceUnavailable, 1, "backend unreachable: %v", err)
 		return
 	}
 	defer resp.Body.Close()
@@ -841,14 +725,6 @@ func (g *Gateway) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// listEnvelope mirrors the service's jobsResponse summaries.
-type listEnvelope struct {
-	Jobs   []json.RawMessage `json:"jobs"`
-	Total  int               `json:"total"`
-	Offset int               `json:"offset"`
-	Limit  int               `json:"limit"`
-}
-
 // handleJobs fans the listing out to every live backend and merges the
 // pages in backend order, prefixing each job id. Offset/limit forward
 // per backend, so a page is "up to limit jobs from each backend" — an
@@ -861,7 +737,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	type result struct {
 		id   string
-		env  listEnvelope
+		list api.JobList
 		err  error
 		code int
 		body []byte
@@ -885,9 +761,9 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 			} else {
 				defer drainBody(resp)
 				res.code = resp.StatusCode
-				res.body, _ = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+				res.body, _ = io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
 				if resp.StatusCode == http.StatusOK {
-					res.err = json.Unmarshal(res.body, &res.env)
+					res.err = json.Unmarshal(res.body, &res.list)
 				}
 			}
 			results[i] = res
@@ -895,7 +771,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	merged := listEnvelope{Jobs: []json.RawMessage{}}
+	merged := api.JobList{Jobs: []api.Job{}}
 	for _, res := range results {
 		if res.err != nil {
 			continue // dead backends contribute nothing to the listing
@@ -908,27 +784,15 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 			_, _ = w.Write(res.body)
 			return
 		}
-		for _, rawJob := range res.env.Jobs {
-			var job map[string]json.RawMessage
-			if err := json.Unmarshal(rawJob, &job); err != nil {
-				continue
-			}
-			var upstream string
-			_ = json.Unmarshal(job["job_id"], &upstream)
-			rewritten, err := json.Marshal(gatewayJobID(res.id, upstream))
-			if err == nil {
-				job["job_id"] = rewritten
-			}
-			out, err := json.Marshal(job)
-			if err == nil {
-				merged.Jobs = append(merged.Jobs, out)
-			}
+		for _, job := range res.list.Jobs {
+			job.JobID = gatewayJobID(res.id, job.JobID)
+			merged.Jobs = append(merged.Jobs, job)
 		}
-		merged.Total += res.env.Total
-		merged.Offset = res.env.Offset
-		merged.Limit = res.env.Limit
+		merged.Total += res.list.Total
+		merged.Offset = res.list.Offset
+		merged.Limit = res.list.Limit
 	}
-	writeJSON(w, http.StatusOK, merged)
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 func (g *Gateway) handleProblems(w http.ResponseWriter, r *http.Request) {
@@ -975,14 +839,9 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	case up < len(g.backends):
 		state = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"state":    state,
 		"backends": views,
 	})
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = g.reg.WriteText(w)
 }

@@ -12,12 +12,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/cluster"
 	"rasengan/internal/service"
 )
@@ -506,5 +510,252 @@ func TestClusterNoBackendRejection(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("no-backend 503 without Retry-After")
+	}
+}
+
+// rawDo sends one request and returns its status and body bytes.
+func (tc *testCluster) rawDo(method, url, body string) (int, string) {
+	tc.t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	resp, err := tc.client.Do(req)
+	if err != nil {
+		tc.t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(raw)
+}
+
+// TestGatewayJobsListingMerge: GET /v1/jobs lists every backend's jobs
+// under gateway ids, sums the totals, and passes a backend's 400 through.
+func TestGatewayJobsListingMerge(t *testing.T) {
+	tc := newTestCluster(t, 2, func(int) service.Config {
+		return service.Config{Solve: stubNodeSolve(nil)}
+	}, nil)
+	for _, owner := range []string{"n1", "n2"} {
+		for c := 1; c <= 2; c++ {
+			if code, v := tc.solve(solveBody(specOwnedBy(t, tc.gw, owner, "FLP", c), 10000)); code != http.StatusOK {
+				t.Fatalf("solve on %s: %d %+v", owner, code, v)
+			}
+		}
+	}
+	type listing struct {
+		Jobs []struct {
+			JobID string `json:"job_id"`
+		} `json:"jobs"`
+		Total int `json:"total"`
+	}
+	var want []string
+	wantTotal := 0
+	for _, n := range tc.nodes {
+		_, raw := tc.rawDo(http.MethodGet, n.ts.URL+"/v1/jobs", "")
+		var l listing
+		if err := json.Unmarshal([]byte(raw), &l); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range l.Jobs {
+			want = append(want, n.id+"."+j.JobID)
+		}
+		wantTotal += l.Total
+	}
+	code, raw := tc.rawDo(http.MethodGet, tc.gwTS.URL+"/v1/jobs", "")
+	var got listing
+	if err := json.Unmarshal([]byte(raw), &got); err != nil || code != http.StatusOK {
+		t.Fatalf("gateway listing: %d %s", code, raw)
+	}
+	var ids []string
+	for _, j := range got.Jobs {
+		ids = append(ids, j.JobID)
+	}
+	if fmt.Sprint(ids) != fmt.Sprint(want) || got.Total != wantTotal || wantTotal != 4 {
+		t.Errorf("merged listing ids %v total %d, want %v total %d", ids, got.Total, want, wantTotal)
+	}
+
+	bCode, bRaw := tc.rawDo(http.MethodGet, tc.nodes[0].ts.URL+"/v1/jobs?limit=0", "")
+	gCode, gRaw := tc.rawDo(http.MethodGet, tc.gwTS.URL+"/v1/jobs?limit=0", "")
+	if bCode != http.StatusBadRequest || gCode != bCode || gRaw != bRaw {
+		t.Errorf("bad limit: gateway %d %s, backend %d %s", gCode, gRaw, bCode, bRaw)
+	}
+}
+
+// TestGatewayCancel: a cancel through the gateway reaches the owning
+// backend and answers under the gateway id.
+func TestGatewayCancel(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	tc := newTestCluster(t, 2, func(int) service.Config {
+		return service.Config{Solve: stubNodeSolve(block)}
+	}, nil)
+	spec := specOwnedBy(t, tc.gw, "n2", "FLP", 1)
+	_, v := tc.solve(solveBody(spec, 0))
+	if !strings.HasPrefix(v.JobID, "n2.") {
+		t.Fatalf("job id %q not on n2", v.JobID)
+	}
+	code, raw := tc.rawDo(http.MethodPost, tc.gwTS.URL+"/v1/jobs/"+v.JobID+"/cancel", "")
+	var c solveView
+	if err := json.Unmarshal([]byte(raw), &c); err != nil || c.JobID != v.JobID {
+		t.Fatalf("cancel: %d %s", code, raw)
+	}
+	if final := tc.pollUntilDone(v.JobID, 10*time.Second); final.Status != "canceled" {
+		t.Errorf("after cancel: status %q", final.Status)
+	}
+	upstream := strings.TrimPrefix(v.JobID, "n2.")
+	_, direct := tc.rawDo(http.MethodGet, tc.nodes[1].ts.URL+"/v1/jobs/"+upstream, "")
+	if !strings.Contains(direct, `"status":"canceled"`) {
+		t.Errorf("backend view after gateway cancel: %s", direct)
+	}
+}
+
+// TestGatewayProblemsPassthrough: GET /v1/problems is a backend's body,
+// byte for byte.
+func TestGatewayProblemsPassthrough(t *testing.T) {
+	tc := newTestCluster(t, 2, nil, nil)
+	resp, err := tc.client.Get(tc.gwTS.URL + "/v1/problems")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, _ := io.ReadAll(resp.Body)
+	code, want := tc.rawDo(http.MethodGet, tc.nodes[0].ts.URL+"/v1/problems", "")
+	if resp.StatusCode != code || string(got) != want || resp.Header.Get("Content-Type") != "application/json" {
+		t.Errorf("problems: gateway %d %q %s, backend %d %s",
+			resp.StatusCode, resp.Header.Get("Content-Type"), got, code, want)
+	}
+}
+
+// TestGatewayEscapesUpstreamJobID: a gateway job id is one path segment
+// on the backend too. An encoded '?' or '/' in it must not turn into a
+// query, another route, or a path walk on the backend.
+func TestGatewayEscapesUpstreamJobID(t *testing.T) {
+	tc := newTestCluster(t, 2, func(int) service.Config {
+		return service.Config{Solve: stubNodeSolve(nil)}
+	}, nil)
+	if code, v := tc.solve(solveBody(specOwnedBy(t, tc.gw, "n1", "FLP", 1), 10000)); v.JobID != "n1.job-00000001" {
+		t.Fatalf("setup solve: %d %+v", code, v)
+	}
+	for _, tt := range []struct{ method, path, upstream string }{
+		{http.MethodGet, "/v1/jobs/n1.job-00000001%3Fstate=done", "job-00000001?state=done"},
+		{http.MethodGet, "/v1/jobs/n1.job-00000001%2Fevents", "job-00000001/events"},
+		{http.MethodGet, "/v1/jobs/n1.job-00000001%2F..%2F..%2Fmetrics", "job-00000001/../../metrics"},
+		{http.MethodPost, "/v1/jobs/n1.job-00000001%3Fx=1/cancel", "job-00000001?x=1"},
+		{http.MethodGet, "/v1/jobs/n1.job-00000001%3Fx=1/events", "job-00000001?x=1"},
+	} {
+		code, raw := tc.rawDo(tt.method, tc.gwTS.URL+tt.path, "")
+		msg, _ := json.Marshal(fmt.Sprintf("unknown job %q", tt.upstream))
+		want := `{"error":` + string(msg) + "}\n"
+		if code != http.StatusNotFound || raw != want {
+			t.Errorf("%s %s: %d %s, want 404 %s", tt.method, tt.path, code, raw, want)
+		}
+	}
+}
+
+// TestGatewayStrictBodies: the gateway rejects a malformed solve or
+// batch body exactly as a backend does — same status, same message —
+// instead of turning a backend's 400 into per-item 502s.
+func TestGatewayStrictBodies(t *testing.T) {
+	tc := newTestCluster(t, 2, func(int) service.Config {
+		return service.Config{Solve: stubNodeSolve(nil)}
+	}, nil)
+	spec := specJSON("FLP", 1, 0)
+	for _, tt := range []struct{ path, body string }{
+		{"/v1/solve/batch", `{"items":[{"spec":` + spec + `,"bogus":1}]}`},
+		{"/v1/solve/batch", `{"items":[{"spec":` + spec + `,"config":{"sead":1}}]}`},
+		{"/v1/solve/batch", `{"items":[{"spec":` + spec + `}],"extra":true}`},
+		{"/v1/solve", `{"spec":` + spec + `,"config":{"sead":1}}`},
+		{"/v1/solve", `{"spec":` + spec + `,"bogus":1}`},
+	} {
+		wantCode, want := tc.rawDo(http.MethodPost, tc.nodes[0].ts.URL+tt.path, tt.body)
+		code, got := tc.rawDo(http.MethodPost, tc.gwTS.URL+tt.path, tt.body)
+		if wantCode != http.StatusBadRequest || code != wantCode || got != want {
+			t.Errorf("%s %s: gateway %d %s, backend %d %s", tt.path, tt.body, code, got, wantCode, want)
+		}
+	}
+}
+
+// TestGatewayForwardsRequestValues: the gateway strict-decodes solve and
+// batch bodies, but every backend still reads the spec and config the
+// client sent — the same cache key, so the same payload.
+func TestGatewayForwardsRequestValues(t *testing.T) {
+	var mu sync.Mutex
+	var received []api.SolveRequest
+	var backends []*cluster.Backend
+	for _, id := range []string{"n1", "n2"} {
+		srv := service.New(service.Config{Solve: stubNodeSolve(nil)})
+		inner := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			raw, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(raw))
+			var batch api.BatchRequest
+			var one api.SolveRequest
+			mu.Lock()
+			switch r.URL.Path {
+			case "/v1/solve/batch":
+				if err := api.Decode(bytes.NewReader(raw), &batch); err != nil {
+					t.Errorf("backend got an undecodable batch %s: %v", raw, err)
+				}
+				received = append(received, batch.Items...)
+			case "/v1/solve":
+				if err := api.Decode(bytes.NewReader(raw), &one); err != nil {
+					t.Errorf("backend got an undecodable solve %s: %v", raw, err)
+				}
+				received = append(received, one)
+			}
+			mu.Unlock()
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			_ = srv.Drain(context.Background())
+		})
+		backends = append(backends, cluster.NewBackend(id, ts.URL))
+	}
+	gw, err := cluster.New(cluster.Config{Backends: backends, Seed: 1, Retry: fastRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwTS := httptest.NewServer(gw.Handler())
+	defer gwTS.Close()
+
+	items := []string{
+		`{"spec": { "family": "FLP", "scale": 1, "case": 0 }, "config": {"seed": 7, "shots": 0, "max_iter": 3}, "timeout_ms": 9000}`,
+		`{"spec":{"family":"KPP","scale":1,"case":2},"config":{"device":"kyiv","sparsest_first":true,"warm_start":true}}`,
+		`{"spec":{"family":"GCP","scale":1,"case":1},"wait_ms":5}`,
+		`{"SPEC":{"family":"JSP","scale":1,"case":0},"Config":{"Seed":-4}}`,
+	}
+	post := func(path, body string) {
+		resp, err := http.Post(gwTS.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	post("/v1/solve/batch", `{"items":[`+strings.Join(items, ",")+`]}`)
+	for _, item := range items {
+		post("/v1/solve", item)
+	}
+
+	// key is what a backend derives from a request: the canonical spec
+	// hash and every other field.
+	key := func(req api.SolveRequest) string {
+		return fmt.Sprintf("%s %+v %d %d", specHash(t, string(req.Spec)), req.Config, req.WaitMS, req.TimeoutMS)
+	}
+	var want, got []string
+	for _, item := range items {
+		var req api.SolveRequest
+		if err := api.Decode(strings.NewReader(item), &req); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, key(req), key(req))
+	}
+	for _, req := range received {
+		got = append(got, key(req))
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("backends received\n  %v\nwant\n  %v", got, want)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"rasengan/internal/api"
 )
 
 // Backend is one rasengan-serve upstream. Its URL is mutable (rolling
@@ -63,17 +65,6 @@ func (b *Backend) Stats() (state string, queued, executing int) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.state, b.queued, b.executing
-}
-
-// healthzView mirrors the solve service's GET /healthz body. Older
-// backends send only {"status":"ok","queue_depth":N}; state defaults
-// from status so the checker works against both generations.
-type healthzView struct {
-	Status     string `json:"status"`
-	State      string `json:"state"`
-	Queued     int    `json:"queued"`
-	Executing  int    `json:"executing"`
-	QueueDepth int    `json:"queue_depth"`
 }
 
 // healthChecker actively probes every backend's /healthz and drives
@@ -196,8 +187,8 @@ type errHealth string
 
 func (e errHealth) Error() string { return string(e) }
 
-func (h *healthChecker) probe(ctx context.Context, base string) (healthzView, error) {
-	var view healthzView
+func (h *healthChecker) probe(ctx context.Context, base string) (api.Health, error) {
+	var view api.Health
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
 	if err != nil {
 		return view, err
@@ -214,7 +205,8 @@ func (h *healthChecker) probe(ctx context.Context, base string) (healthzView, er
 		return view, err
 	}
 	if view.State == "" {
-		// Pre-cluster backends report only {"status":"ok",...}.
+		// Pre-cluster backends report only {"status":"ok","queue_depth":N};
+		// state defaults from status so the checker works against both.
 		view.State = view.Status
 		view.Queued = view.QueueDepth
 	}

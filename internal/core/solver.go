@@ -127,6 +127,13 @@ type IterationTelemetry struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
+// progress is the live-progress view of the record; the caller adds the
+// checkpoint count and worker width, which the record does not carry.
+func (it IterationTelemetry) progress() obs.Progress {
+	return obs.Progress{Start: it.Start, Iter: it.Iter, BestEnergy: it.BestEnergy, ARG: it.ARG,
+		ParamNorm: it.ParamNorm, ElapsedMS: it.ElapsedMS}
+}
+
 // LatencyBreakdown models end-to-end training time (Figure 12/13).
 type LatencyBreakdown struct {
 	QuantumMS   float64 // modeled circuit execution + readout over all evals
@@ -518,18 +525,23 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 						obs.Attr{Key: "iter", Val: strconv.Itoa(iter)})
 					lastMark = now
 				}
+				if !opts.Telemetry.Convergence && cell == nil {
+					return
+				}
+				// One record per boundary feeds both the convergence trace
+				// and the live-progress cell.
+				it := IterationTelemetry{
+					Start:      i,
+					Iter:       iter,
+					BestEnergy: bestF,
+					ARG:        math.NaN(),
+					ParamNorm:  l2norm(bestX),
+					ElapsedMS:  float64(time.Since(wallStart).Microseconds()) / 1000,
+				}
+				if opts.Telemetry.EOptKnown && opts.Telemetry.EOpt != 0 {
+					it.ARG = math.Abs((opts.Telemetry.EOpt - bestF) / opts.Telemetry.EOpt)
+				}
 				if opts.Telemetry.Convergence {
-					it := IterationTelemetry{
-						Start:      i,
-						Iter:       iter,
-						BestEnergy: bestF,
-						ARG:        math.NaN(),
-						ParamNorm:  l2norm(bestX),
-						ElapsedMS:  float64(time.Since(wallStart).Microseconds()) / 1000,
-					}
-					if opts.Telemetry.EOptKnown && opts.Telemetry.EOpt != 0 {
-						it.ARG = math.Abs((opts.Telemetry.EOpt - bestF) / opts.Telemetry.EOpt)
-					}
 					convs[i] = append(convs[i], it)
 				}
 				if cell != nil {
@@ -537,18 +549,8 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 					// (total iteration count, incumbent best), so a watcher
 					// sees non-increasing best energy no matter which start
 					// publishes; this record is just one start's boundary.
-					pr := obs.Progress{
-						Start:         i,
-						Iter:          iter,
-						BestEnergy:    bestF,
-						ARG:           math.NaN(),
-						ParamNorm:     l2norm(bestX),
-						CheckpointSeq: ckptSeq.Load(),
-						ElapsedMS:     float64(time.Since(wallStart).Microseconds()) / 1000,
-					}
-					if opts.Telemetry.EOptKnown && opts.Telemetry.EOpt != 0 {
-						pr.ARG = math.Abs((opts.Telemetry.EOpt - bestF) / opts.Telemetry.EOpt)
-					}
+					pr := it.progress()
+					pr.CheckpointSeq = ckptSeq.Load()
 					if lim != nil {
 						pr.Workers = innerWidth()
 					}

@@ -217,3 +217,37 @@ func BenchmarkSolveTelemetryOn(b *testing.B) {
 		}
 	}
 }
+
+// TestSolveProgressMatchesConvergence runs a single-start solve with both
+// the convergence trace and a live-progress cell on. Both are fed from one
+// record per iteration, so the cell ends on exactly the trace's last
+// record and has counted every one of them.
+func TestSolveProgressMatchesConvergence(t *testing.T) {
+	cell := obs.NewProgressCell()
+	res, err := Solve(context.Background(), problems.FLP(1, 0), Options{
+		MaxIter: 20, // below 30: one start
+		Seed:    4,
+		Telemetry: TelemetryOptions{
+			Convergence: true,
+			Progress:    cell,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Convergence) == 0 {
+		t.Fatal("no convergence records")
+	}
+	p, _, ok := cell.Load()
+	if !ok {
+		t.Fatal("progress cell never published")
+	}
+	last := res.Convergence[len(res.Convergence)-1]
+	if p.Iteration != len(res.Convergence) {
+		t.Errorf("cell counted %d iterations, trace has %d records", p.Iteration, len(res.Convergence))
+	}
+	if p.Start != last.Start || p.Iter != last.Iter || p.BestEnergy != last.BestEnergy ||
+		p.ParamNorm != last.ParamNorm || p.ElapsedMS != last.ElapsedMS {
+		t.Errorf("cell ends on %+v, last trace record is %+v", p, last)
+	}
+}

@@ -54,9 +54,6 @@ type Config struct {
 	// Results are bit-identical either way: every case owns its seed and
 	// aggregation is slot-indexed.
 	Workers int
-	// Parallelism is a deprecated alias for Workers, consulted only when
-	// Workers is zero.
-	Parallelism int
 	// Ctx, when non-nil, cancels the sweep cooperatively: solves in
 	// flight stop at their next iteration boundary and remaining cases
 	// report the context's error. Nil means no cancellation.
@@ -266,11 +263,7 @@ func referenceFor(p *problems.Problem) (problems.Reference, error) {
 // capped at the configured worker count, and blocks until all complete.
 // fn must write only to i-indexed slots.
 func (c Config) forEachParallel(n int, fn func(i int)) {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = c.Parallelism
-	}
-	parallel.ForWorkers(workers, n, fn)
+	parallel.ForWorkers(c.Workers, n, fn)
 }
 
 // renderTable formats a simple aligned text table.

@@ -10,7 +10,7 @@ import (
 
 func TestForEachParallelCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 4, 100} {
-		cfg := Config{Parallelism: workers}
+		cfg := Config{Workers: workers}
 		var hits [37]int32
 		cfg.forEachParallel(len(hits), func(i int) {
 			atomic.AddInt32(&hits[i], 1)
@@ -24,7 +24,7 @@ func TestForEachParallelCoversAllIndices(t *testing.T) {
 }
 
 func TestForEachParallelZeroItems(t *testing.T) {
-	cfg := Config{Parallelism: 4}
+	cfg := Config{Workers: 4}
 	called := false
 	cfg.forEachParallel(0, func(i int) { called = true })
 	if called {

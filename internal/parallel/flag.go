@@ -7,41 +7,28 @@ import (
 
 // WorkersFlag is the shared command-line surface for the worker pool.
 // Every binary registers it with AddFlags instead of hand-rolling a
-// -workers flag (and the deprecated -parallel alias rasengan-bench used
-// to special-case), so validation and wiring live in one place.
+// -workers flag, so validation and wiring live in one place.
 type WorkersFlag struct {
 	workers int
-	alias   int
 }
 
-// AddFlags registers -workers and the deprecated -parallel alias on fs.
+// AddFlags registers -workers on fs.
 func AddFlags(fs *flag.FlagSet) *WorkersFlag {
 	w := &WorkersFlag{}
 	fs.IntVar(&w.workers, "workers", 0,
 		"worker-pool size for all parallel execution: noise trajectories, dense kernels, multi-start, sweeps (0 = all cores); results are identical at any setting")
-	fs.IntVar(&w.alias, "parallel", 0, "deprecated alias for -workers")
 	return w
 }
 
-// Apply validates the parsed values, installs the count via SetWorkers,
-// and returns the effective setting. Negative counts and conflicting
-// flag/alias values are errors — callers exit non-zero instead of
-// silently defaulting.
+// Apply validates the parsed value, installs the count via SetWorkers,
+// and returns the effective setting. A negative count is an error —
+// callers exit non-zero instead of silently defaulting.
 func (w *WorkersFlag) Apply() (int, error) {
 	if w.workers < 0 {
 		return 0, fmt.Errorf("-workers must be >= 0 (got %d)", w.workers)
 	}
-	if w.alias < 0 {
-		return 0, fmt.Errorf("-parallel must be >= 0 (got %d)", w.alias)
+	if w.workers > 0 {
+		SetWorkers(w.workers)
 	}
-	n := w.workers
-	if n == 0 {
-		n = w.alias
-	} else if w.alias != 0 && w.alias != w.workers {
-		return 0, fmt.Errorf("-workers %d conflicts with deprecated -parallel %d; set only -workers", w.workers, w.alias)
-	}
-	if n > 0 {
-		SetWorkers(n)
-	}
-	return n, nil
+	return w.workers, nil
 }

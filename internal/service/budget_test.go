@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/core"
 	"rasengan/internal/parallel"
 	"rasengan/internal/problems"
@@ -100,7 +101,7 @@ func TestOversubscribedBudgetIdenticalPayloads(t *testing.T) {
 		go func(i int, r string) {
 			defer wg.Done()
 			code, sr, _ := postSolve(t, ts, r)
-			if code != http.StatusOK || sr.Status != StatusDone {
+			if code != http.StatusOK || sr.Status != api.StatusDone {
 				t.Errorf("job %d: code %d status %s error %q", i, code, sr.Status, sr.Error)
 				return
 			}
@@ -137,7 +138,7 @@ func TestOversubscribedBudgetIdenticalPayloads(t *testing.T) {
 	_ = solo
 	for i, r := range reqs {
 		code, sr, _ := postSolve(t, tsSolo, r)
-		if code != http.StatusOK || sr.Status != StatusDone {
+		if code != http.StatusOK || sr.Status != api.StatusDone {
 			t.Fatalf("solo job %d: code %d status %s", i, code, sr.Status)
 		}
 		if !bytes.Equal(sr.Result, payloads[i]) {
@@ -147,14 +148,14 @@ func TestOversubscribedBudgetIdenticalPayloads(t *testing.T) {
 	}
 }
 
-func postBatch(t *testing.T, ts *httptest.Server, body string) (int, batchResponse) {
+func postBatch(t *testing.T, ts *httptest.Server, body string) (int, api.BatchResponse) {
 	t.Helper()
 	resp := postRaw(t, ts.URL+"/v1/solve/batch", body)
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br batchResponse
+	var br api.BatchResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &br); err != nil {
 			t.Fatalf("bad batch response %s: %v", raw, err)
@@ -185,7 +186,7 @@ func TestBatchMixedOutcomes(t *testing.T) {
 	defer close(block)
 
 	code, sr, _ := postSolve(t, ts, `{"spec":{"family":"FLP","scale":1,"case":0},"wait_ms":30000}`)
-	if code != http.StatusOK || sr.Status != StatusDone {
+	if code != http.StatusOK || sr.Status != api.StatusDone {
 		t.Fatalf("prime solve: code %d status %s", code, sr.Status)
 	}
 	// Occupy the executor (blocked) and the single queue slot.
@@ -386,7 +387,7 @@ func TestRejectionLeavesNoJournalTrace(t *testing.T) {
 
 	b, tsB := openDurable(t, Config{DataDir: dir})
 	defer shutdown(t, b, tsB)
-	var listing jobsResponse
+	var listing api.JobList
 	if err := json.Unmarshal([]byte(getBody(t, tsB.URL+"/v1/jobs")), &listing); err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +395,8 @@ func TestRejectionLeavesNoJournalTrace(t *testing.T) {
 		t.Errorf("restart lists %d jobs, want exactly the 2 accepted ones", listing.Total)
 	}
 	for _, v := range listing.Jobs {
-		if v.Status == StatusCanceled {
-			t.Errorf("phantom canceled job %s journaled by a rejected submission", v.ID)
+		if v.Status == api.StatusCanceled {
+			t.Errorf("phantom canceled job %s journaled by a rejected submission", v.JobID)
 		}
 	}
 }
@@ -409,7 +410,7 @@ func TestListingStableAcrossRestart(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		code, sr, _ := postSolve(t, tsA, fmt.Sprintf(
 			`{"spec":{"family":"FLP","scale":1,"case":%d},"wait_ms":30000}`, i))
-		if code != http.StatusOK || sr.Status != StatusDone {
+		if code != http.StatusOK || sr.Status != api.StatusDone {
 			t.Fatalf("job %d: code %d status %s", i, code, sr.Status)
 		}
 	}
@@ -423,7 +424,7 @@ func TestListingStableAcrossRestart(t *testing.T) {
 	if before != after {
 		t.Errorf("page contents changed across restart:\nbefore: %s\nafter:  %s", before, after)
 	}
-	var page jobsResponse
+	var page api.JobList
 	if err := json.Unmarshal([]byte(after), &page); err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +432,8 @@ func TestListingStableAcrossRestart(t *testing.T) {
 		t.Fatalf("page shape: %d jobs, total %d, want 3 of 5", len(page.Jobs), page.Total)
 	}
 	for i := 1; i < len(page.Jobs); i++ {
-		if page.Jobs[i-1].ID >= page.Jobs[i].ID {
-			t.Errorf("listing out of submit order: %s before %s", page.Jobs[i-1].ID, page.Jobs[i].ID)
+		if page.Jobs[i-1].JobID >= page.Jobs[i].JobID {
+			t.Errorf("listing out of submit order: %s before %s", page.Jobs[i-1].JobID, page.Jobs[i].JobID)
 		}
 	}
 }
@@ -458,7 +459,7 @@ func TestWarmStartDimensionMismatchSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := s.buildOptions(solveConfig{Seed: 5, MaxIter: 10})
+	opts, err := s.buildOptions(api.Config{Seed: 5, MaxIter: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestWarmStartDimensionMismatchSkipped(t *testing.T) {
 
 	warm := `{"spec":{"family":"FLP","scale":1,"case":0},"config":{"seed":5,"max_iter":10,"warm_start":true},"wait_ms":30000}`
 	code, sr, _ := postSolve(t, ts, warm)
-	if code != http.StatusOK || sr.Status != StatusDone {
+	if code != http.StatusOK || sr.Status != api.StatusDone {
 		t.Fatalf("warm solve: code %d status %s error %q", code, sr.Status, sr.Error)
 	}
 	if got := s.warmDimSkips.Value(); got != 2 { // exact key + family bucket both skipped

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"rasengan/internal/api"
 	"rasengan/internal/problems"
 )
 
@@ -41,7 +42,7 @@ func TestCacheKeyInlineCanonicalization(t *testing.T) {
 	}
 
 	code1, sr1, _ := postSolve(t, ts, req(inline))
-	if code1 != http.StatusOK || sr1.Status != StatusDone {
+	if code1 != http.StatusOK || sr1.Status != api.StatusDone {
 		t.Fatalf("first solve: code %d, status %s, error %q", code1, sr1.Status, sr1.Error)
 	}
 	if sr1.Cached {
@@ -65,7 +66,7 @@ func TestCacheKeyInlineCanonicalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	code3, sr3, _ := postSolve(t, ts, req(other))
-	if code3 != http.StatusOK || sr3.Status != StatusDone {
+	if code3 != http.StatusOK || sr3.Status != api.StatusDone {
 		t.Fatalf("distinct solve: code %d, status %s", code3, sr3.Status)
 	}
 	if sr3.Cached {
@@ -81,7 +82,7 @@ func TestCacheKeyConfigDefaults(t *testing.T) {
 
 	code1, sr1, _ := postSolve(t, ts,
 		fmt.Sprintf(`{"spec":%s,"config":{"seed":0,"max_iter":100,"shots":0},"wait_ms":120000}`, spec))
-	if code1 != http.StatusOK || sr1.Status != StatusDone {
+	if code1 != http.StatusOK || sr1.Status != api.StatusDone {
 		t.Fatalf("explicit-defaults solve: code %d, status %s, error %q", code1, sr1.Status, sr1.Error)
 	}
 	code2, sr2, _ := postSolve(t, ts, fmt.Sprintf(`{"spec":%s,"wait_ms":120000}`, spec))

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/obs"
 	"rasengan/internal/store"
 )
@@ -47,15 +48,14 @@ func (s *Server) DebugEventsHandler() http.Handler {
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		api.WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	select {
 	case s.streamSem <- struct{}{}:
 		defer func() { <-s.streamSem }()
 	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
+		api.WriteRetry(w, http.StatusServiceUnavailable, 1,
 			"too many event streams (limit %d); retry later", cap(s.streamSem))
 		return
 	}

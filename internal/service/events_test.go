@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/core"
 	"rasengan/internal/obs"
 	"rasengan/internal/problems"
@@ -50,43 +51,6 @@ func progressSolve(pre, post int, release <-chan struct{}) SolveFunc {
 		}, nil
 	}
 }
-
-// TestStatusRecorderFlushPassthrough locks in the SSE prerequisite: the
-// instrumentation wrapper must still look flushable — both directly and
-// through http.ResponseController's Unwrap walk — and forward Flush to
-// the underlying writer.
-func TestStatusRecorderFlushPassthrough(t *testing.T) {
-	under := httptest.NewRecorder()
-	wrapped := &statusRecorder{ResponseWriter: under, code: http.StatusOK}
-
-	f, ok := http.ResponseWriter(wrapped).(http.Flusher)
-	if !ok {
-		t.Fatal("statusRecorder does not satisfy http.Flusher")
-	}
-	f.Flush()
-	if !under.Flushed {
-		t.Fatal("Flush not forwarded to the underlying writer")
-	}
-
-	under.Flushed = false
-	if err := http.NewResponseController(wrapped).Flush(); err != nil {
-		t.Fatalf("ResponseController.Flush: %v", err)
-	}
-	if !under.Flushed {
-		t.Fatal("ResponseController flush did not reach the underlying writer")
-	}
-
-	// A non-flushable underlying writer must not panic.
-	plain := &statusRecorder{ResponseWriter: nonFlusher{httptest.NewRecorder()}, code: http.StatusOK}
-	plain.Flush()
-}
-
-// nonFlusher hides the Flush method of the wrapped writer.
-type nonFlusher struct{ w *httptest.ResponseRecorder }
-
-func (n nonFlusher) Header() http.Header         { return n.w.Header() }
-func (n nonFlusher) Write(b []byte) (int, error) { return n.w.Write(b) }
-func (n nonFlusher) WriteHeader(code int)        { n.w.WriteHeader(code) }
 
 // sseEvent is one parsed Server-Sent Event.
 type sseEvent struct {
@@ -154,7 +118,7 @@ func TestJobEventsSSEStream(t *testing.T) {
 	var done struct {
 		Status string `json:"status"`
 	}
-	if err := json.Unmarshal([]byte(events[len(events)-1].data), &done); err != nil || done.Status != string(StatusDone) {
+	if err := json.Unmarshal([]byte(events[len(events)-1].data), &done); err != nil || done.Status != string(api.StatusDone) {
 		t.Fatalf("done payload %q (err %v)", events[len(events)-1].data, err)
 	}
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/core"
 )
 
@@ -93,7 +94,7 @@ func TestJobStoreRetentionBounded(t *testing.T) {
 		if joined {
 			t.Fatalf("job %d unexpectedly joined", i)
 		}
-		j.finish(StatusDone, nil, "")
+		j.finish(api.StatusDone, nil, "")
 		s.settle(j)
 		ids = append(ids, j.id)
 	}
@@ -119,7 +120,7 @@ func TestJobStoreRetentionBounded(t *testing.T) {
 func TestJobStoreSettleIdempotent(t *testing.T) {
 	s := newJobStore(8)
 	j, _ := s.create(context.Background(), "k", nil, core.Options{}, time.Minute)
-	j.finish(StatusCanceled, nil, "canceled")
+	j.finish(api.StatusCanceled, nil, "canceled")
 	s.settle(j)
 	s.settle(j) // double settle must not occupy a second ring slot
 	s.mu.Lock()
@@ -198,7 +199,7 @@ func TestDeadlineFreesExecutor(t *testing.T) {
 	start := time.Now()
 	codeB, srB, _ := postSolve(t, ts,
 		`{"spec":{"family":"KPP","scale":1,"case":0},"config":{"seed":1,"max_iter":4},"wait_ms":30000}`)
-	if codeB != http.StatusOK || srB.Status != StatusDone {
+	if codeB != http.StatusOK || srB.Status != api.StatusDone {
 		t.Fatalf("job B after deadline-bound job A: code %d status %s error %q", codeB, srB.Status, srB.Error)
 	}
 	if elapsed := time.Since(start); elapsed > 15*time.Second {
@@ -208,11 +209,11 @@ func TestDeadlineFreesExecutor(t *testing.T) {
 	// Job A must have settled as a deadline failure.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var got solveResponse
+		var got api.Job
 		if err := json.Unmarshal([]byte(getBody(t, ts.URL+"/v1/jobs/"+srA.JobID)), &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.Status == StatusFailed {
+		if got.Status == api.StatusFailed {
 			if !strings.Contains(got.Error, "deadline") {
 				t.Errorf("job A error %q, want deadline", got.Error)
 			}
@@ -250,7 +251,7 @@ func TestPanicIsolationKeepsServerHealthy(t *testing.T) {
 
 	req := `{"spec":{"family":"FLP","scale":1,"case":0},"config":{"seed":2,"max_iter":20},"wait_ms":30000}`
 	code1, sr1, _ := postSolve(t, ts, req)
-	if code1 != http.StatusOK || sr1.Status != StatusFailed {
+	if code1 != http.StatusOK || sr1.Status != api.StatusFailed {
 		t.Fatalf("poisoned job: code %d status %s error %q, want failed", code1, sr1.Status, sr1.Error)
 	}
 	if !strings.Contains(sr1.Error, "panic") {
@@ -268,7 +269,7 @@ func TestPanicIsolationKeepsServerHealthy(t *testing.T) {
 	// Same request again: the hook has fired once, so this one completes —
 	// the executor and pool survived the panic.
 	code2, sr2, _ := postSolve(t, ts, req)
-	if code2 != http.StatusOK || sr2.Status != StatusDone {
+	if code2 != http.StatusOK || sr2.Status != api.StatusDone {
 		t.Fatalf("resubmission after panic: code %d status %s error %q", code2, sr2.Status, sr2.Error)
 	}
 }

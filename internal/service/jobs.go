@@ -2,25 +2,16 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/core"
 	"rasengan/internal/obs"
 	"rasengan/internal/problems"
-)
-
-// Status is the lifecycle state of a job.
-type Status string
-
-const (
-	StatusQueued   Status = "queued"
-	StatusRunning  Status = "running"
-	StatusDone     Status = "done"
-	StatusFailed   Status = "failed"
-	StatusCanceled Status = "canceled"
 )
 
 // job is one accepted solve. Its result bytes are the deterministic
@@ -52,15 +43,16 @@ type job struct {
 	progress *obs.ProgressCell
 
 	mu       sync.Mutex
-	status   Status
+	status   api.Status
 	result   []byte
 	errMsg   string
 	cached   bool
 	accepted time.Time
-	// telemetry is the winning start's convergence trace. It lives on the
-	// job, never in the result bytes: the cached payload must stay
-	// byte-identical for one key, and these records carry wall times.
-	telemetry []core.IterationTelemetry
+	// telemetry is the winning start's convergence trace, marshaled once.
+	// It lives on the job, never in the result bytes: the cached payload
+	// must stay byte-identical for one key, and these records carry wall
+	// times.
+	telemetry json.RawMessage
 
 	// settled marks the job as counted in the store's retention ring;
 	// guarded by the store's mutex, not the job's.
@@ -69,10 +61,11 @@ type job struct {
 	done chan struct{}
 }
 
-func (j *job) snapshot() jobView {
+// snapshot is the job's externally visible view.
+func (j *job) snapshot() api.Job {
 	j.mu.Lock()
-	v := jobView{
-		ID:        j.id,
+	v := api.Job{
+		JobID:     j.id,
 		Status:    j.status,
 		Cached:    j.cached,
 		Error:     j.errMsg,
@@ -83,9 +76,11 @@ func (j *job) snapshot() jobView {
 	// Live progress rides only non-terminal views: terminal responses are
 	// summarized by the deterministic result payload and the convergence
 	// telemetry, and must not grow nondeterministic live-state fields.
-	if v.Status == StatusQueued || v.Status == StatusRunning {
+	if v.Status == api.StatusQueued || v.Status == api.StatusRunning {
 		if p, _, ok := j.progress.Load(); ok {
-			v.Progress = &p
+			// A record of finite numbers always marshals; a failure would
+			// only drop the progress field from this view.
+			v.Progress, _ = json.Marshal(p)
 		}
 	}
 	return v
@@ -94,25 +89,31 @@ func (j *job) snapshot() jobView {
 // setConvergence attaches the solve's convergence telemetry; call before
 // finish so a snapshot taken after the done signal always sees it.
 func (j *job) setConvergence(c []core.IterationTelemetry) {
+	var raw json.RawMessage
+	if len(c) > 0 {
+		// Finite numbers always marshal; a failure would only leave the
+		// job without a trace, never fail the job.
+		raw, _ = json.Marshal(c)
+	}
 	j.mu.Lock()
-	j.telemetry = c
+	j.telemetry = raw
 	j.mu.Unlock()
 }
 
 func (j *job) setRunning() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.status != api.StatusQueued {
 		return false
 	}
-	j.status = StatusRunning
+	j.status = api.StatusRunning
 	return true
 }
 
 // finish moves the job to a terminal state exactly once.
-func (j *job) finish(status Status, result []byte, errMsg string) {
+func (j *job) finish(status api.Status, result []byte, errMsg string) {
 	j.mu.Lock()
-	if j.status == StatusDone || j.status == StatusFailed || j.status == StatusCanceled {
+	if j.status == api.StatusDone || j.status == api.StatusFailed || j.status == api.StatusCanceled {
 		j.mu.Unlock()
 		return
 	}
@@ -122,19 +123,6 @@ func (j *job) finish(status Status, result []byte, errMsg string) {
 	j.mu.Unlock()
 	j.cancel()
 	close(j.done)
-}
-
-// jobView is the externally visible snapshot of a job.
-type jobView struct {
-	ID        string                    `json:"job_id"`
-	Status    Status                    `json:"status"`
-	Cached    bool                      `json:"cached"`
-	Error     string                    `json:"error,omitempty"`
-	Result    []byte                    `json:"-"`
-	Telemetry []core.IterationTelemetry `json:"telemetry,omitempty"`
-	// Progress is the latest live-progress record; present only while the
-	// job is queued/running and its solve has published at least once.
-	Progress *obs.Progress `json:"progress,omitempty"`
 }
 
 // jobStore tracks jobs by id, deduplicates in-flight work by content
@@ -186,7 +174,7 @@ func (s *jobStore) create(base context.Context, key string, p *problems.Problem,
 		ctx:      ctx,
 		cancel:   cancel,
 		progress: obs.NewProgressCell(),
-		status:   StatusQueued,
+		status:   api.StatusQueued,
 		accepted: time.Now(),
 		done:     make(chan struct{}),
 	}
@@ -208,7 +196,7 @@ func (s *jobStore) createDone(result []byte, cached bool) *job {
 		seq:     s.seq,
 		ctx:     ctx,
 		cancel:  cancel,
-		status:  StatusDone,
+		status:  api.StatusDone,
 		result:  result,
 		cached:  cached,
 		settled: true,
@@ -292,7 +280,7 @@ func (s *jobStore) bumpSeq(id string) {
 
 // restoreTerminal registers a terminal job under its original id
 // (journal recovery: the job stays queryable across restarts).
-func (s *jobStore) restoreTerminal(id string, status Status, result []byte, errMsg string) *job {
+func (s *jobStore) restoreTerminal(id string, status api.Status, result []byte, errMsg string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -329,7 +317,7 @@ func (s *jobStore) restoreActive(base context.Context, id, key string, p *proble
 		ctx:      ctx,
 		cancel:   cancel,
 		progress: obs.NewProgressCell(),
-		status:   StatusQueued,
+		status:   api.StatusQueued,
 		accepted: time.Now(),
 		done:     make(chan struct{}),
 	}
@@ -343,7 +331,7 @@ func (s *jobStore) restoreActive(base context.Context, id, key string, p *proble
 // before pagination. Sorting on the numeric submit sequence (not the id
 // string, and certainly not map iteration order) keeps page contents
 // stable across journal replay and restarts.
-func (s *jobStore) list(status Status, offset, limit int) (views []jobView, total int) {
+func (s *jobStore) list(status api.Status, offset, limit int) (views []api.Job, total int) {
 	s.mu.Lock()
 	jobs := make([]*job, 0, len(s.byID))
 	for _, j := range s.byID {
@@ -356,9 +344,12 @@ func (s *jobStore) list(status Status, offset, limit int) (views []jobView, tota
 		}
 		return jobs[i].id < jobs[k].id
 	})
-	views = []jobView{}
+	views = []api.Job{}
 	for _, j := range jobs {
-		v := j.snapshot()
+		// Listings are summaries: no payload, telemetry or progress.
+		j.mu.Lock()
+		v := api.Job{JobID: j.id, Status: j.status, Cached: j.cached, Error: j.errMsg}
+		j.mu.Unlock()
 		if status != "" && v.Status != status {
 			continue
 		}
@@ -366,9 +357,6 @@ func (s *jobStore) list(status Status, offset, limit int) (views []jobView, tota
 		if total <= offset || len(views) >= limit {
 			continue
 		}
-		v.Result = nil // listings are summaries, not payloads
-		v.Telemetry = nil
-		v.Progress = nil
 		views = append(views, v)
 	}
 	return views, total

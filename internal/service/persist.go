@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/core"
 	"rasengan/internal/obs"
 	"rasengan/internal/problems"
@@ -45,7 +46,7 @@ type persistence struct {
 // store, which may have learned different parameters since.
 type jobPayload struct {
 	Spec         json.RawMessage `json:"spec"`
-	Config       solveConfig     `json:"config"`
+	Config       api.Config      `json:"config"`
 	Key          string          `json:"key"`
 	TimeoutMS    int             `json:"timeout_ms,omitempty"`
 	InitialTimes []float64       `json:"initial_times,omitempty"`
@@ -102,7 +103,7 @@ func (s *Server) recover(entries []store.JobEntry) error {
 	for _, e := range kept {
 		s.jobs.bumpSeq(e.ID)
 		switch e.State {
-		case string(StatusDone):
+		case string(api.StatusDone):
 			var pl jobPayload
 			payload, err := s.persist.blobs.Get(e.Blob)
 			if err != nil || json.Unmarshal(e.Data, &pl) != nil {
@@ -112,15 +113,15 @@ func (s *Server) recover(entries []store.JobEntry) error {
 			if pl.Key != "" {
 				s.cache.Put(pl.Key, payload)
 			}
-			s.jobs.restoreTerminal(e.ID, StatusDone, payload, "")
+			s.jobs.restoreTerminal(e.ID, api.StatusDone, payload, "")
 			s.jobsRecovered.Inc()
-		case string(StatusFailed), string(StatusCanceled):
-			s.jobs.restoreTerminal(e.ID, Status(e.State), nil, e.Error)
+		case string(api.StatusFailed), string(api.StatusCanceled):
+			s.jobs.restoreTerminal(e.ID, api.Status(e.State), nil, e.Error)
 			s.jobsRecovered.Inc()
-		case string(StatusQueued), string(StatusRunning):
+		case string(api.StatusQueued), string(api.StatusRunning):
 			if err := s.reenqueue(e); err != nil {
 				s.log.Warn("recovery: could not re-enqueue job", "job_id", e.ID, "error", err.Error())
-				s.jobs.restoreTerminal(e.ID, StatusFailed, nil, "lost at restart: "+err.Error())
+				s.jobs.restoreTerminal(e.ID, api.StatusFailed, nil, "lost at restart: "+err.Error())
 			} else {
 				s.jobsRecovered.Inc()
 			}
@@ -166,7 +167,7 @@ func (s *Server) reenqueue(e store.JobEntry) error {
 	j := s.jobs.restoreActive(context.Background(), e.ID, pl.Key, p, opts, deadline)
 	j.family, j.scale = pl.Family, pl.Scale
 	if err := s.queue.Submit(j); err != nil {
-		j.finish(StatusCanceled, nil, "not enqueued at recovery")
+		j.finish(api.StatusCanceled, nil, "not enqueued at recovery")
 		s.jobs.settle(j)
 		return err
 	}
@@ -177,7 +178,7 @@ func (s *Server) reenqueue(e store.JobEntry) error {
 
 func isTerminalState(state string) bool {
 	switch state {
-	case string(StatusDone), string(StatusFailed), string(StatusCanceled):
+	case string(api.StatusDone), string(api.StatusFailed), string(api.StatusCanceled):
 		return true
 	}
 	return false
@@ -185,7 +186,7 @@ func isTerminalState(state string) bool {
 
 // journalAccept records a freshly accepted job. Journal append errors
 // are logged, not fatal: the server keeps serving, durability degrades.
-func (s *Server) journalAccept(j *job, spec json.RawMessage, cfg solveConfig, timeoutMS int, initialTimes []float64, problem string) {
+func (s *Server) journalAccept(j *job, spec json.RawMessage, cfg api.Config, timeoutMS int, initialTimes []float64, problem string) {
 	if s.persist == nil {
 		return
 	}
@@ -213,7 +214,7 @@ func (s *Server) journalAccept(j *job, spec json.RawMessage, cfg solveConfig, ti
 type acceptedJob struct {
 	j            *job
 	spec         json.RawMessage
-	cfg          solveConfig
+	cfg          api.Config
 	timeoutMS    int
 	initialTimes []float64
 	problem      string
@@ -253,7 +254,7 @@ func (s *Server) journalAcceptBatch(batch []acceptedJob) {
 }
 
 // journalState records a lifecycle transition.
-func (s *Server) journalState(j *job, state Status, errMsg string) {
+func (s *Server) journalState(j *job, state api.Status, errMsg string) {
 	if s.persist == nil {
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/core"
 	"rasengan/internal/problems"
 )
@@ -49,7 +50,7 @@ func TestPersistenceRestartRoundTrip(t *testing.T) {
 
 	a, tsA := openDurable(t, Config{DataDir: dir})
 	code, sr1, _ := postSolve(t, tsA, req)
-	if code != http.StatusOK || sr1.Status != StatusDone {
+	if code != http.StatusOK || sr1.Status != api.StatusDone {
 		t.Fatalf("solve: code %d status %s error %q", code, sr1.Status, sr1.Error)
 	}
 	if len(sr1.Result) == 0 {
@@ -62,11 +63,11 @@ func TestPersistenceRestartRoundTrip(t *testing.T) {
 
 	// Original job id resolves with the identical payload.
 	body := getBody(t, tsB.URL+"/v1/jobs/"+sr1.JobID)
-	var recovered solveResponse
+	var recovered api.Job
 	if err := json.Unmarshal([]byte(body), &recovered); err != nil {
 		t.Fatalf("job after restart: %v (%s)", err, body)
 	}
-	if recovered.Status != StatusDone {
+	if recovered.Status != api.StatusDone {
 		t.Fatalf("recovered job status %s, want done", recovered.Status)
 	}
 	if !bytes.Equal(recovered.Result, sr1.Result) {
@@ -119,13 +120,13 @@ func TestCrashRecoveryReenqueuesInterrupted(t *testing.T) {
 	defer shutdown(t, b, tsB)
 
 	deadline := time.Now().Add(60 * time.Second)
-	var final solveResponse
+	var final api.Job
 	for {
 		body := getBody(t, tsB.URL+"/v1/jobs/"+sr.JobID)
 		if err := json.Unmarshal([]byte(body), &final); err != nil {
 			t.Fatalf("job %s after restart: %v (%s)", sr.JobID, err, body)
 		}
-		if final.Status == StatusDone || final.Status == StatusFailed || final.Status == StatusCanceled {
+		if final.Status == api.StatusDone || final.Status == api.StatusFailed || final.Status == api.StatusCanceled {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -133,7 +134,7 @@ func TestCrashRecoveryReenqueuesInterrupted(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if final.Status != StatusDone {
+	if final.Status != api.StatusDone {
 		t.Fatalf("replayed job ended %s (%s)", final.Status, final.Error)
 	}
 
@@ -146,7 +147,7 @@ func TestCrashRecoveryReenqueuesInterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := b.buildOptions(solveConfig{Seed: 7, MaxIter: 15})
+	opts, err := b.buildOptions(api.Config{Seed: 7, MaxIter: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestWarmStartStore(t *testing.T) {
 
 	warm := `{"spec":{"family":"FLP","scale":1,"case":0},"config":{"seed":3,"max_iter":15,"warm_start":true},"wait_ms":60000}`
 	code, sr1, _ := postSolve(t, ts, warm)
-	if code != http.StatusOK || sr1.Status != StatusDone {
+	if code != http.StatusOK || sr1.Status != api.StatusDone {
 		t.Fatalf("cold warm-start solve: code %d status %s error %q", code, sr1.Status, sr1.Error)
 	}
 	if s.warmMisses.Value() != 1 {
@@ -185,7 +186,7 @@ func TestWarmStartStore(t *testing.T) {
 	// options, so this is a NEW cache key — a computed job, not a hit on
 	// the cold entry.
 	code, sr2, _ := postSolve(t, ts, warm)
-	if code != http.StatusOK || sr2.Status != StatusDone {
+	if code != http.StatusOK || sr2.Status != api.StatusDone {
 		t.Fatalf("warm solve: code %d status %s error %q", code, sr2.Status, sr2.Error)
 	}
 	if sr2.Cached {
@@ -199,7 +200,7 @@ func TestWarmStartStore(t *testing.T) {
 	// have been refreshed by the second solve, so the cache key can
 	// differ — but the lookup itself is a hit either way).
 	code, sr3, _ := postSolve(t, ts, warm)
-	if code != http.StatusOK || sr3.Status != StatusDone {
+	if code != http.StatusOK || sr3.Status != api.StatusDone {
 		t.Fatalf("repeat warm solve: code %d status %s", code, sr3.Status)
 	}
 	if s.warmHitsExact.Value() != 2 {
@@ -210,7 +211,7 @@ func TestWarmStartStore(t *testing.T) {
 	// exact but hits the family bucket.
 	sibling := `{"spec":{"family":"FLP","scale":1,"case":2},"config":{"seed":3,"max_iter":15,"warm_start":true},"wait_ms":60000}`
 	code, sr4, _ := postSolve(t, ts, sibling)
-	if code != http.StatusOK || sr4.Status != StatusDone {
+	if code != http.StatusOK || sr4.Status != api.StatusDone {
 		t.Fatalf("sibling warm solve: code %d status %s error %q", code, sr4.Status, sr4.Error)
 	}
 	if s.warmHitsFamily.Value() != 1 {
@@ -235,7 +236,7 @@ func TestWarmStartStore(t *testing.T) {
 func TestWarmStartInertWithoutDataDir(t *testing.T) {
 	_, ts := newTestServer(t, Config{Solve: stubSolve(nil)})
 	code, sr, _ := postSolve(t, ts, `{"spec":{"family":"FLP","scale":1,"case":0},"config":{"warm_start":true},"wait_ms":60000}`)
-	if code != http.StatusOK || sr.Status != StatusDone {
+	if code != http.StatusOK || sr.Status != api.StatusDone {
 		t.Fatalf("warm_start without data dir: code %d status %s error %q", code, sr.Status, sr.Error)
 	}
 }
@@ -246,12 +247,12 @@ func TestJobsListing(t *testing.T) {
 	_, ts := newTestServer(t, Config{Solve: stubSolve(nil)})
 	for i := 0; i < 5; i++ {
 		body := fmt.Sprintf(`{"spec":{"family":"FLP","scale":1,"case":%d},"wait_ms":60000}`, i)
-		if code, sr, _ := postSolve(t, ts, body); code != http.StatusOK || sr.Status != StatusDone {
+		if code, sr, _ := postSolve(t, ts, body); code != http.StatusOK || sr.Status != api.StatusDone {
 			t.Fatalf("seed job %d: code %d status %s", i, code, sr.Status)
 		}
 	}
 
-	var list jobsResponse
+	var list api.JobList
 	if err := json.Unmarshal([]byte(getBody(t, ts.URL+"/v1/jobs?state=done")), &list); err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +260,8 @@ func TestJobsListing(t *testing.T) {
 		t.Fatalf("done listing: total %d, %d jobs, want 5/5", list.Total, len(list.Jobs))
 	}
 	for i := 1; i < len(list.Jobs); i++ {
-		if list.Jobs[i-1].ID >= list.Jobs[i].ID {
-			t.Fatalf("listing not id-ordered: %s before %s", list.Jobs[i-1].ID, list.Jobs[i].ID)
+		if list.Jobs[i-1].JobID >= list.Jobs[i].JobID {
+			t.Fatalf("listing not id-ordered: %s before %s", list.Jobs[i-1].JobID, list.Jobs[i].JobID)
 		}
 	}
 

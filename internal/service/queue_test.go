@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rasengan/internal/api"
 )
 
 func testJob(id string) *job {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &job{id: id, ctx: ctx, cancel: cancel, status: StatusQueued, done: make(chan struct{})}
+	return &job{id: id, ctx: ctx, cancel: cancel, status: api.StatusQueued, done: make(chan struct{})}
 }
 
 func TestQueueBackpressure(t *testing.T) {
@@ -19,7 +21,7 @@ func TestQueueBackpressure(t *testing.T) {
 	q := newJobQueue(2, 1, func(j *job) {
 		started <- struct{}{}
 		<-block
-		j.finish(StatusDone, nil, "")
+		j.finish(api.StatusDone, nil, "")
 	})
 	// One job occupies the executor, two fill the queue slots.
 	if err := q.Submit(testJob("a")); err != nil {
@@ -51,7 +53,7 @@ func TestQueueDrainRunsEveryAcceptedJob(t *testing.T) {
 	q := newJobQueue(64, 3, func(j *job) {
 		time.Sleep(time.Millisecond)
 		ran.Add(1)
-		j.finish(StatusDone, nil, "")
+		j.finish(api.StatusDone, nil, "")
 	})
 	const n = 40
 	accepted := 0
@@ -89,7 +91,7 @@ func TestQueueDrainTimeout(t *testing.T) {
 }
 
 func TestQueueDrainIdempotent(t *testing.T) {
-	q := newJobQueue(4, 2, func(j *job) { j.finish(StatusDone, nil, "") })
+	q := newJobQueue(4, 2, func(j *job) { j.finish(api.StatusDone, nil, "") })
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := q.Drain(ctx); err != nil {

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/core"
 	"rasengan/internal/device"
 	"rasengan/internal/metrics"
@@ -354,93 +355,25 @@ func (s *Server) Drain(ctx context.Context) error { return s.queue.Drain(ctx) }
 
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", s.instrument("solve", s.handleSolve))
-	mux.HandleFunc("POST /v1/solve/batch", s.instrument("solve_batch", s.handleSolveBatch))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("jobs", s.handleJobs))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("job", s.handleJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("job_events", s.handleJobEvents))
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.instrument("cancel", s.handleCancel))
-	mux.HandleFunc("GET /v1/problems", s.instrument("problems", s.handleProblems))
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealth))
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return mux
+	return api.NewHandler(api.RouteMetrics{
+		Registry:     s.reg,
+		DurationName: "rasengan_http_request_duration_seconds",
+		DurationHelp: "HTTP request latency by route.",
+		CountName:    "rasengan_http_requests_total",
+		CountHelp:    "HTTP requests by route and status.",
+	}, api.Handlers{
+		Solve:      s.handleSolve,
+		SolveBatch: s.handleSolveBatch,
+		Jobs:       s.handleJobs,
+		Job:        s.handleJob,
+		JobEvents:  s.handleJobEvents,
+		Cancel:     s.handleCancel,
+		Problems:   s.handleProblems,
+		Health:     s.handleHealth,
+	})
 }
 
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	// The duration child is resolved once per route at wrap time, so the
-	// per-request cost is one histogram observation, not a registry lookup.
-	dur := s.reg.HistogramWith("rasengan_http_request_duration_seconds",
-		"HTTP request latency by route.", nil, [2]string{"route", route})
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		dur.Observe(time.Since(start).Seconds())
-		s.reg.CounterWith("rasengan_http_requests_total", "HTTP requests by route and status.",
-			[2]string{"route", route}, [2]string{"code", fmt.Sprintf("%d", rec.code)}).Inc()
-	}
-}
-
-// statusRecorder captures the response status for the request counter. It
-// must stay transparent to streaming handlers: Flush forwards to the
-// underlying writer when it supports flushing (SSE breaks without this —
-// events would sit in the server's buffer until the stream ends), and
-// Unwrap lets http.ResponseController reach every other optional
-// interface of the original writer.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
-
-// --- request/response shapes ---
-
-// solveRequest is the body of POST /v1/solve.
-type solveRequest struct {
-	// Spec selects the problem (see problems.Spec).
-	Spec json.RawMessage `json:"spec"`
-	// Config tunes the solver; zero values mean defaults.
-	Config solveConfig `json:"config"`
-	// WaitMS, when positive, holds the request open up to that many
-	// milliseconds for the result, enabling one-round-trip solves.
-	WaitMS int `json:"wait_ms,omitempty"`
-	// TimeoutMS overrides the job deadline (capped by the server's
-	// MaxTimeout).
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
-
-// solveConfig is the client-facing subset of the solver knobs. It maps
-// onto core.Options; everything not exposed here stays at the pipeline
-// default.
-type solveConfig struct {
-	Seed          int64  `json:"seed,omitempty"`
-	MaxIter       int    `json:"max_iter,omitempty"`
-	Shots         int    `json:"shots,omitempty"`
-	Device        string `json:"device,omitempty"`
-	SparsestFirst bool   `json:"sparsest_first,omitempty"`
-	// WarmStart opts in to seeding the optimizer from the server's
-	// warm-start parameter store (exact spec match first, then the
-	// (family, scale) bucket). Inert on servers without a data
-	// directory. The injected parameters become part of the resolved
-	// options — and therefore of the cache key — so warm-started and
-	// cold requests never alias.
-	WarmStart bool `json:"warm_start,omitempty"`
-}
-
-func (s *Server) buildOptions(c solveConfig) (core.Options, error) {
+func (s *Server) buildOptions(c api.Config) (core.Options, error) {
 	var opts core.Options
 	opts.Exec.Engine = s.cfg.Engine
 	opts.Seed = c.Seed
@@ -466,50 +399,13 @@ func (s *Server) buildOptions(c solveConfig) (core.Options, error) {
 	return opts, nil
 }
 
-// solveResponse is the envelope of POST /v1/solve and GET /v1/jobs/{id}.
-// Result carries the cached-or-computed payload verbatim: for one cache
-// key it is byte-identical on every response that includes it.
-type solveResponse struct {
-	JobID  string          `json:"job_id"`
-	Status Status          `json:"status"`
-	Cached bool            `json:"cached"`
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	// Telemetry is the job's convergence trace (winning start, one record
-	// per optimizer iteration). Present on computed jobs only — cache hits
-	// replay result bytes, not the original run's telemetry.
-	Telemetry []core.IterationTelemetry `json:"telemetry,omitempty"`
-	// Progress is the latest live-progress record of a queued/running job
-	// (see obs.Progress); never present on terminal responses, so cached
-	// payload byte-identity is untouched.
-	Progress *obs.Progress `json:"progress,omitempty"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
 // --- handlers ---
-
-const maxBodyBytes = 1 << 20
 
 // preparedSolve is a parsed, validated, keyed solve request, ready for
 // admission. Both the single and batch endpoints produce one per item.
 type preparedSolve struct {
 	rawSpec   json.RawMessage
-	cfg       solveConfig
+	cfg       api.Config
 	timeoutMS int
 	spec      *problems.Spec
 	specHash  string
@@ -522,7 +418,7 @@ type preparedSolve struct {
 // prepareSolve validates a request through to its cache key: parse the
 // spec, resolve options, build the problem, inject (dimension-checked)
 // warm starts, fingerprint. On error the int is the HTTP status.
-func (s *Server) prepareSolve(req solveRequest) (*preparedSolve, int, error) {
+func (s *Server) prepareSolve(req api.SolveRequest) (*preparedSolve, int, error) {
 	if len(req.Spec) == 0 {
 		return nil, http.StatusBadRequest, errors.New("missing \"spec\"")
 	}
@@ -636,8 +532,8 @@ func (s *Server) reserveAndCreate(ps *preparedSolve) (j *job, created bool, err 
 func (s *Server) commitJob(j *job) error {
 	if err := s.queue.Commit(j); err != nil {
 		s.rejectedDrain.Inc()
-		s.journalState(j, StatusCanceled, "not enqueued")
-		j.finish(StatusCanceled, nil, "not enqueued")
+		s.journalState(j, api.StatusCanceled, "not enqueued")
+		j.finish(api.StatusCanceled, nil, "not enqueued")
 		s.jobs.settle(j)
 		return err
 	}
@@ -652,35 +548,29 @@ func (s *Server) commitJob(j *job) error {
 // carries a Retry-After computed from queue depth and the observed drain
 // rate — including the 503 drain path, where it hints at restart time.
 func (s *Server) writeReject(w http.ResponseWriter, err error) {
-	retry := strconv.Itoa(s.admission.retryAfter(s.queue.Load(), s.cfg.Executors))
+	retry := s.admission.retryAfter(s.queue.Load(), s.cfg.Executors)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", retry)
-		writeError(w, http.StatusTooManyRequests, "queue full (%d slots); retry later", s.queue.Capacity())
+		api.WriteRetry(w, http.StatusTooManyRequests, retry, "queue full (%d slots); retry later", s.queue.Capacity())
 	case errors.Is(err, errShedding):
-		w.Header().Set("Retry-After", retry)
-		writeError(w, http.StatusTooManyRequests,
+		api.WriteRetry(w, http.StatusTooManyRequests, retry,
 			"shedding load (queue at %d of %d slots); retry later", s.queue.Load(), s.queue.Capacity())
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", retry)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		api.WriteRetry(w, http.StatusServiceUnavailable, retry, "server is draining")
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		api.WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req solveRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	var req api.SolveRequest
+	if err := api.Decode(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), &req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
 	ps, code, err := s.prepareSolve(req)
 	if err != nil {
-		writeError(w, code, "%v", err)
+		api.WriteError(w, code, "%v", err)
 		return
 	}
 
@@ -688,7 +578,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if payload, ok := s.cache.Get(ps.key); ok {
 		s.cacheHits.Inc()
 		j := s.jobs.createDone(payload, true)
-		writeJSON(w, http.StatusOK, solveResponse{JobID: j.id, Status: StatusDone, Cached: true, Result: payload})
+		api.WriteJSON(w, http.StatusOK, api.Job{JobID: j.id, Status: api.StatusDone, Cached: true, Result: payload})
 		return
 	}
 	s.cacheMisses.Inc()
@@ -722,51 +612,27 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.respondJob(w, j)
 }
 
-// batchRequest is the body of POST /v1/solve/batch: up to Config.MaxBatch
-// independent solve items. Items are admitted individually (mixed
-// outcomes are normal) but accepted items share one journal group-commit,
-// so a K-item batch costs one fsync instead of K.
-type batchRequest struct {
-	Items []solveRequest `json:"items"`
-}
-
-// batchItem is the per-item outcome; Code is the HTTP status the item
-// would have received from POST /v1/solve.
-type batchItem struct {
-	Code        int             `json:"code"`
-	JobID       string          `json:"job_id,omitempty"`
-	Status      Status          `json:"status,omitempty"`
-	Cached      bool            `json:"cached,omitempty"`
-	Error       string          `json:"error,omitempty"`
-	RetryAfterS int             `json:"retry_after_s,omitempty"`
-	Result      json.RawMessage `json:"result,omitempty"`
-}
-
-type batchResponse struct {
-	Items []batchItem `json:"items"`
-}
-
+// handleSolveBatch admits up to Config.MaxBatch independent items.
+// Accepted items share one journal group-commit, so a K-item batch costs
+// one fsync instead of K.
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req batchRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	var req api.BatchRequest
+	if err := api.Decode(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), &req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
 	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no items")
+		api.WriteError(w, http.StatusBadRequest, "batch has no items")
 		return
 	}
 	if len(req.Items) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		api.WriteError(w, http.StatusRequestEntityTooLarge,
 			"batch has %d items; this server accepts at most %d", len(req.Items), s.cfg.MaxBatch)
 		return
 	}
 	s.batchRequests.Inc()
 
-	items := make([]batchItem, len(req.Items))
+	items := make([]api.BatchItem, len(req.Items))
 	type accepted struct {
 		idx int
 		ps  *preparedSolve
@@ -776,13 +642,13 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	for i, item := range req.Items {
 		ps, code, err := s.prepareSolve(item)
 		if err != nil {
-			items[i] = batchItem{Code: code, Error: err.Error()}
+			items[i] = api.BatchItem{Code: code, Error: err.Error()}
 			continue
 		}
 		if payload, ok := s.cache.Get(ps.key); ok {
 			s.cacheHits.Inc()
 			j := s.jobs.createDone(payload, true)
-			items[i] = batchItem{Code: http.StatusOK, JobID: j.id, Status: StatusDone, Cached: true, Result: payload}
+			items[i] = api.BatchItem{Code: http.StatusOK, JobID: j.id, Status: api.StatusDone, Cached: true, Result: payload}
 			continue
 		}
 		s.cacheMisses.Inc()
@@ -792,7 +658,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, ErrDraining) {
 				code = http.StatusServiceUnavailable
 			}
-			items[i] = batchItem{Code: code, Error: err.Error(),
+			items[i] = api.BatchItem{Code: code, Error: err.Error(),
 				RetryAfterS: s.admission.retryAfter(s.queue.Load(), s.cfg.Executors)}
 			continue
 		}
@@ -800,10 +666,10 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			// Coalesced onto an in-flight job (possibly an earlier item of
 			// this very batch carrying the same key).
 			v := j.snapshot()
-			items[i] = batchItem{Code: http.StatusAccepted, JobID: v.ID, Status: v.Status, Cached: v.Cached}
+			items[i] = api.BatchItem{Code: http.StatusAccepted, JobID: v.JobID, Status: v.Status, Cached: v.Cached}
 			continue
 		}
-		items[i] = batchItem{Code: http.StatusAccepted, JobID: j.id, Status: StatusQueued}
+		items[i] = api.BatchItem{Code: http.StatusAccepted, JobID: j.id, Status: api.StatusQueued}
 		toCommit = append(toCommit, accepted{idx: i, ps: ps, j: j})
 	}
 
@@ -817,37 +683,28 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	s.journalAcceptBatch(batch)
 	for _, a := range toCommit {
 		if err := s.commitJob(a.j); err != nil {
-			items[a.idx] = batchItem{Code: http.StatusServiceUnavailable, Error: err.Error()}
+			items[a.idx] = api.BatchItem{Code: http.StatusServiceUnavailable, Error: err.Error()}
 		}
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Items: items})
+	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Items: items})
 }
 
 func (s *Server) respondJob(w http.ResponseWriter, j *job) {
 	v := j.snapshot()
 	code := http.StatusAccepted
-	if v.Status == StatusDone || v.Status == StatusFailed || v.Status == StatusCanceled {
+	if v.Status == api.StatusDone || v.Status == api.StatusFailed || v.Status == api.StatusCanceled {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, solveResponse{JobID: v.ID, Status: v.Status, Cached: v.Cached, Error: v.Error, Result: v.Result, Telemetry: v.Telemetry, Progress: v.Progress})
+	api.WriteJSON(w, code, v)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		api.WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	s.respondJob(w, j)
-}
-
-// jobsResponse is the envelope of GET /v1/jobs: paginated summaries
-// (no result payloads or telemetry) in job-id order.
-type jobsResponse struct {
-	Jobs   []jobView `json:"jobs"`
-	Total  int       `json:"total"`
-	Offset int       `json:"offset"`
-	Limit  int       `json:"limit"`
 }
 
 const (
@@ -857,29 +714,29 @@ const (
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var status Status
+	var status api.Status
 	if raw := q.Get("state"); raw != "" {
-		switch Status(raw) {
-		case StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCanceled:
-			status = Status(raw)
+		switch api.Status(raw) {
+		case api.StatusQueued, api.StatusRunning, api.StatusDone, api.StatusFailed, api.StatusCanceled:
+			status = api.Status(raw)
 		default:
-			writeError(w, http.StatusBadRequest,
+			api.WriteError(w, http.StatusBadRequest,
 				"unknown state %q (want queued, running, done, failed, or canceled)", raw)
 			return
 		}
 	}
 	limit, err := queryInt(q.Get("limit"), defaultListLimit, 1, maxListLimit)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid limit: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "invalid limit: %v", err)
 		return
 	}
 	offset, err := queryInt(q.Get("offset"), 0, 0, 1<<30)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid offset: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "invalid offset: %v", err)
 		return
 	}
 	views, total := s.jobs.list(status, offset, limit)
-	writeJSON(w, http.StatusOK, jobsResponse{Jobs: views, Total: total, Offset: offset, Limit: limit})
+	api.WriteJSON(w, http.StatusOK, api.JobList{Jobs: views, Total: total, Offset: offset, Limit: limit})
 }
 
 // queryInt parses an optional integer query parameter within [min, max].
@@ -900,7 +757,7 @@ func queryInt(raw string, def, min, max int) (int, error) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		api.WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	j.cancel()
@@ -923,18 +780,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if s.queue.Draining() {
 		state = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":      "ok",
-		"state":       state,
-		"queued":      s.queue.Depth(),
-		"executing":   int(s.solvesRunning.Value()),
-		"queue_depth": s.queue.Depth(),
+	api.WriteJSON(w, http.StatusOK, api.Health{
+		Status:     "ok",
+		State:      state,
+		Queued:     s.queue.Depth(),
+		Executing:  int(s.solvesRunning.Value()),
+		QueueDepth: s.queue.Depth(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.reg.WriteText(w)
 }
 
 // runJob executes one accepted job synchronously on its executor
@@ -985,7 +837,7 @@ func (s *Server) runJob(j *job) {
 		specHash = sh
 	}
 	j.opts.Telemetry.Events = &obs.EventScope{Ring: s.events, JobID: j.id, SpecHash: specHash}
-	s.journalState(j, StatusRunning, "")
+	s.journalState(j, api.StatusRunning, "")
 	s.log.Info("job running", "job_id", j.id, "spec_hash", j.key, "problem", j.problem.Name)
 	s.solvesRunning.Inc()
 	start := time.Now()
@@ -1005,8 +857,8 @@ func (s *Server) runJob(j *job) {
 		if errors.Is(err, core.ErrSolvePanic) {
 			s.solverPanics.Inc()
 		}
-		s.journalState(j, StatusFailed, err.Error())
-		j.finish(StatusFailed, nil, err.Error())
+		s.journalState(j, api.StatusFailed, err.Error())
+		j.finish(api.StatusFailed, nil, err.Error())
 		s.jobsFailed.Inc()
 		s.log.Warn("job failed", "job_id", j.id, "spec_hash", j.key,
 			"duration_ms", time.Since(start).Milliseconds(), "error", err.Error())
@@ -1016,20 +868,22 @@ func (s *Server) runJob(j *job) {
 	s.observeStages(rec)
 	payload, err := marshalResult(j.problem, res)
 	if err != nil {
-		s.journalState(j, StatusFailed, "marshal result: "+err.Error())
-		j.finish(StatusFailed, nil, "marshal result: "+err.Error())
+		s.journalState(j, api.StatusFailed, "marshal result: "+err.Error())
+		j.finish(api.StatusFailed, nil, "marshal result: "+err.Error())
 		s.jobsFailed.Inc()
 		return
 	}
 	j.setConvergence(res.Convergence)
 	s.recordWarm(j, res.Times)
 	s.journalResult(j, payload)
-	s.journalState(j, StatusDone, "")
+	s.journalState(j, api.StatusDone, "")
 	s.cache.Put(j.key, payload)
-	j.finish(StatusDone, payload, "")
+	// Count and log before finish: a client woken by the done signal must
+	// find the record and the counter already there.
 	s.jobsCompleted.Inc()
 	s.log.Info("job done", "job_id", j.id, "spec_hash", j.key,
 		"duration_ms", time.Since(start).Milliseconds(), "iterations", res.Iterations, "evals", res.Evals)
+	j.finish(api.StatusDone, payload, "")
 }
 
 // observeStages folds one job's span totals into the per-stage duration
@@ -1063,14 +917,14 @@ func (s *Server) runSolve(j *job) (res *core.Result, err error) {
 func (s *Server) finishErr(j *job, err error) {
 	s.jobsCancelled.Inc()
 	if errors.Is(err, context.DeadlineExceeded) {
-		s.journalState(j, StatusFailed, "deadline exceeded")
-		j.finish(StatusFailed, nil, "deadline exceeded")
+		s.journalState(j, api.StatusFailed, "deadline exceeded")
+		j.finish(api.StatusFailed, nil, "deadline exceeded")
 		s.jobsFailed.Inc()
 		s.log.Warn("job deadline exceeded", "job_id", j.id, "spec_hash", j.key)
 		return
 	}
-	s.journalState(j, StatusCanceled, "canceled")
-	j.finish(StatusCanceled, nil, "canceled")
+	s.journalState(j, api.StatusCanceled, "canceled")
+	j.finish(api.StatusCanceled, nil, "canceled")
 	s.log.Info("job cancelled", "job_id", j.id, "spec_hash", j.key)
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rasengan/internal/api"
 	"rasengan/internal/core"
 	"rasengan/internal/problems"
 )
@@ -30,7 +31,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postSolve(t *testing.T, ts *httptest.Server, body string) (int, solveResponse, []byte) {
+func postSolve(t *testing.T, ts *httptest.Server, body string) (int, api.Job, []byte) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -41,7 +42,7 @@ func postSolve(t *testing.T, ts *httptest.Server, body string) (int, solveRespon
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr solveResponse
+	var sr api.Job
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		t.Fatalf("bad response %s: %v", raw, err)
 	}
@@ -67,14 +68,14 @@ func TestEndToEndDeterminismAndCaching(t *testing.T) {
 	req := `{"spec":{"family":"FLP","scale":1,"case":0},"config":{"seed":1,"max_iter":25},"wait_ms":60000}`
 
 	code1, sr1, _ := postSolve(t, ts, req)
-	if code1 != http.StatusOK || sr1.Status != StatusDone {
+	if code1 != http.StatusOK || sr1.Status != api.StatusDone {
 		t.Fatalf("first solve: code %d, status %s, error %q", code1, sr1.Status, sr1.Error)
 	}
 	if sr1.Cached {
 		t.Fatal("first solve reported cached")
 	}
 	code2, sr2, _ := postSolve(t, ts, req)
-	if code2 != http.StatusOK || sr2.Status != StatusDone {
+	if code2 != http.StatusOK || sr2.Status != api.StatusDone {
 		t.Fatalf("second solve: code %d, status %s", code2, sr2.Status)
 	}
 	if !sr2.Cached {
@@ -140,7 +141,7 @@ func TestConcurrentMixedFamilies(t *testing.T) {
 			defer wg.Done()
 			code, sr, _ := postSolve(t, ts, r)
 			codes[i] = code
-			if sr.Status == StatusDone {
+			if sr.Status == api.StatusDone {
 				results[i] = sr.Result
 			}
 		}(i, r)
@@ -224,24 +225,24 @@ func TestJobPollingLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Solve: stubSolve(block)})
 
 	code, sr, _ := postSolve(t, ts, `{"spec":{"family":"KPP","scale":1,"case":0}}`)
-	if code != http.StatusAccepted || sr.Status != StatusQueued && sr.Status != StatusRunning {
+	if code != http.StatusAccepted || sr.Status != api.StatusQueued && sr.Status != api.StatusRunning {
 		t.Fatalf("async submit: code %d status %s", code, sr.Status)
 	}
 	close(block)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var got solveResponse
+		var got api.Job
 		raw := getBody(t, ts.URL+"/v1/jobs/"+sr.JobID)
 		if err := json.Unmarshal([]byte(raw), &got); err != nil {
 			t.Fatalf("poll: %s: %v", raw, err)
 		}
-		if got.Status == StatusDone {
+		if got.Status == api.StatusDone {
 			if len(got.Result) == 0 {
 				t.Fatal("done job has no result")
 			}
 			break
 		}
-		if got.Status == StatusFailed || got.Status == StatusCanceled {
+		if got.Status == api.StatusFailed || got.Status == api.StatusCanceled {
 			t.Fatalf("job ended %s: %s", got.Status, got.Error)
 		}
 		if time.Now().After(deadline) {
@@ -268,7 +269,7 @@ func TestJobDeadlineExceeded(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("code %d", code)
 	}
-	if sr.Status != StatusFailed || !strings.Contains(sr.Error, "deadline") {
+	if sr.Status != api.StatusFailed || !strings.Contains(sr.Error, "deadline") {
 		t.Fatalf("status %s error %q, want failed/deadline", sr.Status, sr.Error)
 	}
 }
@@ -285,14 +286,14 @@ func TestJobCancel(t *testing.T) {
 	resp.Body.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var got solveResponse
+		var got api.Job
 		if err := json.Unmarshal([]byte(getBody(t, ts.URL+"/v1/jobs/"+sr.JobID)), &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.Status == StatusCanceled {
+		if got.Status == api.StatusCanceled {
 			break
 		}
-		if got.Status == StatusDone || got.Status == StatusFailed {
+		if got.Status == api.StatusDone || got.Status == api.StatusFailed {
 			t.Fatalf("canceled job ended %s", got.Status)
 		}
 		if time.Now().After(deadline) {
@@ -437,7 +438,7 @@ func TestResultPayloadDeterministic(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		_, ts := newTestServer(t, Config{})
 		_, sr, _ := postSolve(t, ts, req)
-		if sr.Status != StatusDone {
+		if sr.Status != api.StatusDone {
 			t.Fatalf("run %d: status %s error %q", i, sr.Status, sr.Error)
 		}
 		payloads = append(payloads, sr.Result)

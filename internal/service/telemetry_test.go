@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"rasengan/internal/api"
+	"rasengan/internal/core"
 )
 
 // TestStageMetricsAndJobTelemetry drives one real solve through the
@@ -18,28 +21,31 @@ func TestStageMetricsAndJobTelemetry(t *testing.T) {
 	_, ts := newTestServer(t, Config{Executors: 1})
 	code, sr, _ := postSolve(t, ts,
 		`{"spec":{"family":"FLP","scale":1,"case":0},"config":{"seed":5,"max_iter":30},"wait_ms":30000}`)
-	if code != http.StatusOK || sr.Status != StatusDone {
+	if code != http.StatusOK || sr.Status != api.StatusDone {
 		t.Fatalf("solve: code %d status %s error %q", code, sr.Status, sr.Error)
 	}
 
-	if len(sr.Telemetry) == 0 {
-		t.Fatal("computed job carried no convergence telemetry")
+	var records []core.IterationTelemetry
+	if err := json.Unmarshal(sr.Telemetry, &records); err != nil || len(records) == 0 {
+		t.Fatalf("computed job carried no convergence telemetry (%v)", err)
 	}
 	prev := -1
-	for _, it := range sr.Telemetry {
+	for _, it := range records {
 		if it.Iter <= prev {
 			t.Errorf("telemetry iterations not strictly increasing: %d after %d", it.Iter, prev)
 		}
 		prev = it.Iter
 	}
 	// The job endpoint replays the same telemetry.
-	var again solveResponse
+	var again api.Job
 	if err := json.Unmarshal([]byte(getBody(t, ts.URL+"/v1/jobs/"+sr.JobID)), &again); err != nil {
 		t.Fatal(err)
 	}
-	if len(again.Telemetry) != len(sr.Telemetry) {
+	var againRecords []core.IterationTelemetry
+	_ = json.Unmarshal(again.Telemetry, &againRecords)
+	if len(againRecords) != len(records) {
 		t.Errorf("GET /v1/jobs telemetry has %d records, solve response had %d",
-			len(again.Telemetry), len(sr.Telemetry))
+			len(againRecords), len(records))
 	}
 
 	metricsText := getBody(t, ts.URL+"/metrics")
@@ -68,7 +74,7 @@ func TestCacheHitOmitsTelemetry(t *testing.T) {
 	_, ts := newTestServer(t, Config{Executors: 1})
 	body := `{"spec":{"family":"FLP","scale":1,"case":0},"config":{"seed":5,"max_iter":30},"wait_ms":30000}`
 	_, first, _ := postSolve(t, ts, body)
-	if first.Status != StatusDone || first.Cached {
+	if first.Status != api.StatusDone || first.Cached {
 		t.Fatalf("first solve: status %s cached %v", first.Status, first.Cached)
 	}
 	_, second, _ := postSolve(t, ts, body)
@@ -76,7 +82,7 @@ func TestCacheHitOmitsTelemetry(t *testing.T) {
 		t.Fatalf("second identical solve not served from cache")
 	}
 	if len(second.Telemetry) != 0 {
-		t.Errorf("cache hit carried telemetry (%d records); it must replay result bytes only", len(second.Telemetry))
+		t.Errorf("cache hit carried telemetry (%s); it must replay result bytes only", second.Telemetry)
 	}
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Error("cached result bytes differ from the computed ones")
@@ -92,7 +98,7 @@ func TestStructuredLogsCarryJobFields(t *testing.T) {
 	_, ts := newTestServer(t, Config{Executors: 1, Logger: logger})
 	code, sr, _ := postSolve(t, ts,
 		`{"spec":{"family":"FLP","scale":1,"case":0},"config":{"seed":6,"max_iter":20},"wait_ms":30000}`)
-	if code != http.StatusOK || sr.Status != StatusDone {
+	if code != http.StatusOK || sr.Status != api.StatusDone {
 		t.Fatalf("solve: code %d status %s error %q", code, sr.Status, sr.Error)
 	}
 
