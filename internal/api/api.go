@@ -132,11 +132,10 @@ type Error struct {
 // State means alive but rejecting new work, which a gateway's health
 // checker keys on.
 type Health struct {
-	Executing  int    `json:"executing"`
-	QueueDepth int    `json:"queue_depth"`
-	Queued     int    `json:"queued"`
-	State      string `json:"state"`
-	Status     string `json:"status"`
+	Executing int    `json:"executing"`
+	Queued    int    `json:"queued"`
+	State     string `json:"state"`
+	Status    string `json:"status"`
 }
 
 // Decode reads the first JSON value of r into v. Unknown fields are

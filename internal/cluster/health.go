@@ -204,11 +204,5 @@ func (h *healthChecker) probe(ctx context.Context, base string) (api.Health, err
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&view); err != nil {
 		return view, err
 	}
-	if view.State == "" {
-		// Pre-cluster backends report only {"status":"ok","queue_depth":N};
-		// state defaults from status so the checker works against both.
-		view.State = view.Status
-		view.Queued = view.QueueDepth
-	}
 	return view, nil
 }

@@ -3,14 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
-	"strconv"
-	"time"
 
 	"rasengan/internal/bitvec"
-	"rasengan/internal/obs"
 	"rasengan/internal/quantum"
-	"rasengan/internal/transpile"
 )
 
 // Engine names selectable through ExecOptions.Engine. Both engines perform
@@ -47,12 +44,17 @@ type compiledPlan struct {
 	feasible []bool    // Problem.Feasible per state index
 	energy   []float64 // Problem.ScoreMin per state index
 	initIdx  int32
+	// allFeasible records that every state of the closure is feasible, so
+	// purification would zero nothing and is skipped.
+	allFeasible bool
 }
 
 // compiledRT holds one clone's mutable flat buffers, allocated lazily on
 // first run so Clone stays cheap. distIn/distOut ping-pong across segments;
 // lastDist snapshots the final distribution of the latest successful
-// RunEnergyCtx for LastDistribution.
+// RunEnergyCtx for LastDistribution; cos/sin hold every operator's cos t and
+// sin t for the current evaluation, computed once per evaluation rather than
+// once per input state.
 type compiledRT struct {
 	st            *quantum.CompiledState
 	distIn        []float64
@@ -60,6 +62,7 @@ type compiledRT struct {
 	counts        []int
 	lastDist      []float64
 	lastDistValid bool
+	cos, sin      []float64
 }
 
 // compileEngine attempts to select the compiled engine for this executor,
@@ -85,15 +88,17 @@ func (e *Executor) compileEngine() {
 		return
 	}
 	plan := &compiledPlan{
-		space:    space,
-		feasible: make([]bool, space.Size()),
-		energy:   make([]float64, space.Size()),
-		initIdx:  initIdx,
+		space:       space,
+		feasible:    make([]bool, space.Size()),
+		energy:      make([]float64, space.Size()),
+		initIdx:     initIdx,
+		allFeasible: true,
 	}
 	for i := 0; i < space.Size(); i++ {
 		x := space.StateAt(int32(i))
 		plan.feasible[i] = e.p.Feasible(x)
 		plan.energy[i] = e.p.ScoreMin(x)
+		plan.allFeasible = plan.allFeasible && plan.feasible[i]
 	}
 	e.plan = plan
 	e.EngineUsed = EngineCompiled
@@ -109,19 +114,21 @@ func (e *Executor) rt() *compiledRT {
 			distOut:  make([]float64, n),
 			counts:   make([]int, n),
 			lastDist: make([]float64, n),
+			cos:      make([]float64, len(e.ops)),
+			sin:      make([]float64, len(e.ops)),
 		}
 		e.crt.st.SetWorkerLimit(e.workerLimit)
 	}
 	return e.crt
 }
 
-// runCompiled is the compiled-engine counterpart of the RunCtx segment loop,
-// propagating the inter-segment distribution as a flat []float64 over the
-// compiled subspace. The returned slice aliases the clone's ping-pong
-// buffer: callers consume it before the next run. Every float matches the
-// map engine bit for bit — merges, purification, and normalization all
-// accumulate in ascending state order, which is exactly the map path's
-// sorted-key order.
+// runCompiled is the compiled-engine counterpart of the map engine's
+// segment loop (runMap), propagating the inter-segment distribution as a
+// flat []float64 over the compiled subspace. The returned slice aliases the
+// clone's ping-pong buffer: callers consume it before the next run. Every
+// float matches the map engine bit for bit — merges, purification, and
+// normalization all accumulate in ascending state order, which is exactly
+// the map path's sorted-key order.
 func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand) ([]float64, error) {
 	e.LastShotsUsed = 0
 	e.LastFeasibleShots = 0
@@ -129,30 +136,28 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 	e.LastQuantumNS = 0
 	e.LastSegmentsRun = 0
 	e.LastTerminatedEarly = false
+	e.startClock()
+	defer e.lap(&e.clk.segment)
 
 	rt := e.rt()
-	in, out := rt.distIn, rt.distOut
-	for i := range in {
-		in[i] = 0
+	for i, ti := range t {
+		rt.cos[i] = math.Cos(ti)
+		rt.sin[i] = math.Sin(ti)
 	}
+	in, out := rt.distIn, rt.distOut
+	clear(in)
 	in[e.plan.initIdx] = 1
+	exact := e.opts.Shots <= 0 && e.opts.Device == nil
 	for segIdx, seg := range e.segments {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		segSpan := obs.NoParent
-		if e.spans.Enabled() {
-			segSpan = e.spans.Start(obs.StageSegment, e.spanTrack, e.spanRoot,
-				obs.Attr{Key: "segment", Val: strconv.Itoa(segIdx)},
-				obs.Attr{Key: obs.AttrEngine, Val: EngineCompiled})
-		}
 		var err error
-		if e.opts.Shots <= 0 && e.opts.Device == nil {
-			err = e.runCompiledSegmentExact(ctx, seg, t, in, out, segSpan)
+		if exact {
+			err = e.runCompiledSegmentExact(ctx, segIdx, seg, in, out)
 		} else {
-			err = e.runCompiledSegmentSampled(ctx, segIdx, seg, t, in, out, rng, segSpan)
+			err = e.runCompiledSegmentSampled(ctx, segIdx, seg, in, out, rng)
 		}
-		e.spans.End(segSpan)
 		if err != nil {
 			return nil, err
 		}
@@ -175,60 +180,47 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 	return in, nil
 }
 
-// runCompiledSegmentExact mirrors runSegmentExact over flat arrays: each
-// incoming state with nonzero weight evolves coherently through the segment
-// on the clone's CompiledState, and its outcome probabilities merge into out
-// in sorted support order.
-func (e *Executor) runCompiledSegmentExact(ctx context.Context, seg []int, t []float64, in, out []float64, segSpan obs.SpanID) error {
+// runCompiledSegmentExact mirrors runSegmentExact over flat arrays. A
+// segment of one operator is a single ascending sweep over the input
+// distribution (CompiledSpace.CollapseTransition). A longer segment evolves
+// each input state with nonzero weight through its operators on the clone's
+// CompiledState and merges the outcome probabilities into out; each out
+// slot takes at most one term per input state and input states run in
+// ascending order, so the merge needs no sorted support.
+func (e *Executor) runCompiledSegmentExact(ctx context.Context, segIdx int, seg []int, in, out []float64) error {
 	modelShots := e.opts.Shots
 	if modelShots <= 0 {
 		modelShots = 1024
 	}
-	segNS := 0.0
-	for _, i := range seg {
-		segNS += e.stats[i].durationNS
-	}
-	d := transpile.DefaultDurations()
-	e.LastQuantumNS += float64(modelShots) * (segNS + d.ReadoutNS + d.ResetNS)
+	e.LastQuantumNS += float64(modelShots) * e.shotNS[segIdx]
 	e.LastShotsUsed += modelShots
 
-	var sampleDur time.Duration
-	for i := range out {
-		out[i] = 0
-	}
-	st := e.crt.st
-	for xi, w := range in {
-		if w == 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st.Reset(int32(xi))
-		for _, op := range seg {
-			st.ApplyTransition(op, t[op])
-		}
-		mark := e.spans.Now()
-		for _, yi := range st.SortedActive() {
-			a := st.AmpAt(yi)
-			out[yi] += w * (real(a)*real(a) + imag(a)*imag(a))
-		}
-		sampleDur += e.spans.Now() - mark
-	}
-	mark := e.spans.Now()
-	if !e.opts.DisablePurify {
-		for i := range out {
-			if !e.plan.feasible[i] {
-				out[i] = 0
+	clear(out)
+	rt := e.crt
+	if len(seg) == 1 {
+		op := seg[0]
+		e.plan.space.CollapseTransition(op, rt.cos[op], rt.sin[op], in, out)
+	} else {
+		st := rt.st
+		for xi, w := range in {
+			if w == 0 {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			st.Reset(int32(xi))
+			for _, op := range seg {
+				st.ApplyTransitionCS(op, rt.cos[op], rt.sin[op])
+			}
+			for _, yi := range st.Active() {
+				a := st.AmpAt(yi)
+				out[yi] += w * (real(a)*real(a) + imag(a)*imag(a))
 			}
 		}
 	}
+	e.purifyFlat(out)
 	normalizeFlat(out)
-	if e.spans.Enabled() {
-		end := e.spans.Now()
-		sampleDur += end - mark
-		e.spans.Record(obs.StageSample, e.spanTrack, segSpan, end-sampleDur, end)
-	}
 	return nil
 }
 
@@ -237,14 +229,11 @@ func (e *Executor) runCompiledSegmentExact(ctx context.Context, seg []int, t []f
 // and no readout flips — the same branch the map path takes with a
 // zero-noise device). Shot counts accumulate into a flat counts array with
 // the same rng consumption order as the map path.
-func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, seg []int, t []float64, in, out []float64, rng *rand.Rand, segSpan obs.SpanID) error {
-	var sampleDur time.Duration
+func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, seg []int, in, out []float64, rng *rand.Rand) error {
 	shots := e.opts.shotsForSegment(segIdx)
 	rt := e.crt
 	counts := rt.counts
-	for i := range counts {
-		counts[i] = 0
-	}
+	clear(counts)
 	st := rt.st
 	for xi, w := range in {
 		if w == 0 {
@@ -258,29 +247,18 @@ func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, se
 			continue
 		}
 		e.LastShotsUsed += nx
-		segNS := 0.0
-		for _, op := range seg {
-			segNS += e.stats[op].durationNS
-		}
-		durations := transpile.DefaultDurations()
-		if e.opts.Device != nil {
-			durations = e.opts.Device.Durations
-		}
-		e.LastQuantumNS += float64(nx) * (segNS + durations.ReadoutNS + durations.ResetNS)
+		e.LastQuantumNS += float64(nx) * e.shotNS[segIdx]
 
 		st.Reset(int32(xi))
 		for _, op := range seg {
-			st.ApplyTransition(op, t[op])
+			st.ApplyTransitionCS(op, rt.cos[op], rt.sin[op])
 		}
-		mark := e.spans.Now()
 		st.SampleCounts(rng, nx, counts)
-		sampleDur += e.spans.Now() - mark
 	}
+	e.lap(&e.clk.segment)
 	total := 0
 	any := false
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	for i, c := range counts {
 		if c == 0 {
 			continue
@@ -296,21 +274,23 @@ func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, se
 		return fmt.Errorf("core: %s: zero shots allocated in segment", e.p.Name)
 	}
 	e.LastMeasuredShots += total
-	mark := e.spans.Now()
-	if !e.opts.DisablePurify {
-		for i := range out {
-			if !e.plan.feasible[i] {
-				out[i] = 0
-			}
+	e.purifyFlat(out)
+	normalizeFlat(out)
+	e.lap(&e.clk.sample)
+	return nil
+}
+
+// purifyFlat zeroes the infeasible states of a flat distribution, unless
+// purification is disabled or the closure holds no infeasible state.
+func (e *Executor) purifyFlat(d []float64) {
+	if e.opts.DisablePurify || e.plan.allFeasible {
+		return
+	}
+	for i := range d {
+		if !e.plan.feasible[i] {
+			d[i] = 0
 		}
 	}
-	normalizeFlat(out)
-	if e.spans.Enabled() {
-		end := e.spans.Now()
-		sampleDur += end - mark
-		e.spans.Record(obs.StageSample, e.spanTrack, segSpan, end-sampleDur, end)
-	}
-	return nil
 }
 
 // normalizeFlat rescales a flat distribution to unit mass. The sum runs in
@@ -360,6 +340,7 @@ func (e *Executor) RunEnergyCtx(ctx context.Context, t []float64, rng *rand.Rand
 	if len(t) != len(e.ops) {
 		return 0, fmt.Errorf("core: %d times for %d operators", len(t), len(e.ops))
 	}
+	energy := 0.0
 	if e.plan != nil {
 		flat, err := e.runCompiled(ctx, t, rng)
 		if err != nil {
@@ -368,23 +349,22 @@ func (e *Executor) RunEnergyCtx(ctx context.Context, t []float64, rng *rand.Rand
 		rt := e.crt
 		copy(rt.lastDist, flat)
 		rt.lastDistValid = true
-		energy := 0.0
 		for i, v := range flat {
 			if v != 0 {
 				energy += v * e.plan.energy[i]
 			}
 		}
-		return energy, nil
+	} else {
+		dist, err := e.runMap(ctx, t, rng)
+		if err != nil {
+			return 0, err
+		}
+		e.lastGoodDist = dist
+		for _, x := range sortedDistKeys(dist) {
+			energy += dist[x] * e.p.ScoreMin(x)
+		}
 	}
-	dist, err := e.RunCtx(ctx, t, rng)
-	if err != nil {
-		return 0, err
-	}
-	e.lastGoodDist = dist
-	energy := 0.0
-	for _, x := range sortedDistKeys(dist) {
-		energy += dist[x] * e.p.ScoreMin(x)
-	}
+	e.lap(&e.clk.sample)
 	return energy, nil
 }
 

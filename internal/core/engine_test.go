@@ -52,23 +52,121 @@ func runBoth(t *testing.T, mapEx, compEx *Executor, seed int64) (dm, dc map[bitv
 }
 
 // TestCompiledEngineBitIdenticalExact: on the exact path the two engines
-// must produce byte-identical distributions — same support, same float64
-// probabilities, no tolerance.
+// must produce byte-identical distributions and energies — same support,
+// same float64 probabilities, no tolerance. The table reaches one-operator
+// sweeps and multi-operator segments (SCP-4's first default segment holds
+// five operators), the angles at which the amplitude prune decides (at π/2,
+// cos² ≈ 3.7e-33 falls under it), an all-zero operator, and a vector outside
+// the constraint kernel, whose closure holds infeasible states that
+// purification must remove.
 func TestCompiledEngineBitIdenticalExact(t *testing.T) {
+	schedules := []struct {
+		name  string
+		extra func(n int) []int64 // inserted after the first operator; nil: none
+	}{
+		{"kernel", nil},
+		{"zero-op", func(n int) []int64 { return make([]int64, n) }},
+		{"outside-kernel", func(n int) []int64 {
+			u := make([]int64, n)
+			u[0] = 1 // flipping one variable leaves the constraint kernel
+			return u
+		}},
+	}
+	options := []struct {
+		name string
+		opts ExecOptions
+	}{
+		{"default", ExecOptions{}},
+		{"ops3", ExecOptions{OpsPerSegment: 3}},
+		{"unsegmented", ExecOptions{DisableSegmentation: true}},
+		{"no-purify", ExecOptions{DisablePurify: true}},
+	}
+	angles := []struct {
+		name string
+		at   func(i int) float64
+	}{
+		{"mixed", func(i int) float64 { return 0.55 + 0.07*float64(i%4) }},
+		{"0", func(int) float64 { return 0 }},
+		{"pi/2", func(int) float64 { return math.Pi / 2 }},
+		{"pi", func(int) float64 { return math.Pi }},
+	}
 	for _, p := range []*problems.Problem{
 		problems.FLP(2, 1),
 		problems.SCP(4, 0),
 		problems.KPP(3, 0),
 	} {
-		mapEx, compEx := enginePair(t, p, ExecOptions{})
-		dm, dc := runBoth(t, mapEx, compEx, 11)
-		if len(dm) != len(dc) {
-			t.Fatalf("%s: support %d (map) vs %d (compiled)", p.Name, len(dm), len(dc))
-		}
-		for x, pm := range dm {
-			if pc, ok := dc[x]; !ok || pc != pm {
-				t.Fatalf("%s: state %v: map %v vs compiled %v", p.Name, x, pm, dc[x])
+		kernel := mustBasisAndSchedule(t, p)
+		for _, sc := range schedules {
+			ops := kernel
+			if sc.extra != nil {
+				ops = append([]Transition{kernel[0], {U: sc.extra(p.N)}}, kernel[1:]...)
 			}
+			for _, o := range options {
+				mo, co := o.opts, o.opts
+				mo.Engine = EngineMap
+				mapEx, err := NewExecutor(p, ops, mo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compEx, err := NewExecutor(p, ops, co)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if compEx.EngineUsed != EngineCompiled {
+					t.Fatalf("%s/%s: compiled executor fell back: %s", p.Name, sc.name, compEx.EngineFallbackReason)
+				}
+				for _, a := range angles {
+					name := p.Name + "/" + sc.name + "/" + o.name + "/t=" + a.name
+					times := make([]float64, len(ops))
+					for i := range times {
+						times[i] = a.at(i)
+					}
+					checkEnginesBitIdentical(t, name, p, mapEx, compEx, times)
+				}
+			}
+		}
+	}
+}
+
+// checkEnginesBitIdentical runs one exact evaluation on both engines and
+// compares, bit for bit, the distributions Run returns, the energies
+// RunEnergyCtx returns, that energy against the distribution's sorted-order
+// expectation, and the modeled accounting. A run that fails must fail the
+// same way on both.
+func checkEnginesBitIdentical(t *testing.T, name string, p *problems.Problem, mapEx, compEx *Executor, times []float64) {
+	t.Helper()
+	ctx := context.Background()
+	dm, errM := mapEx.Run(times, nil)
+	dc, errC := compEx.Run(times, nil)
+	if (errM == nil) != (errC == nil) || (errM != nil && errM.Error() != errC.Error()) {
+		t.Fatalf("%s: map error %v vs compiled error %v", name, errM, errC)
+	}
+	if errM != nil {
+		return
+	}
+	if len(dm) != len(dc) {
+		t.Fatalf("%s: support %d (map) vs %d (compiled)", name, len(dm), len(dc))
+	}
+	for x, pm := range dm {
+		if pc, ok := dc[x]; !ok || math.Float64bits(pc) != math.Float64bits(pm) {
+			t.Fatalf("%s: state %v: map %v vs compiled %v", name, x, pm, dc[x])
+		}
+	}
+	if mapEx.LastQuantumNS != compEx.LastQuantumNS || mapEx.LastShotsUsed != compEx.LastShotsUsed {
+		t.Fatalf("%s: accounting diverges: map (%v ns, %d shots) vs compiled (%v ns, %d shots)", name,
+			mapEx.LastQuantumNS, mapEx.LastShotsUsed, compEx.LastQuantumNS, compEx.LastShotsUsed)
+	}
+	want := 0.0
+	for _, x := range sortedDistKeys(dc) {
+		want += dc[x] * p.ScoreMin(x)
+	}
+	for _, ex := range []*Executor{mapEx, compEx} {
+		got, err := ex.RunEnergyCtx(ctx, times, nil)
+		if err != nil {
+			t.Fatalf("%s: %s RunEnergyCtx: %v", name, ex.EngineUsed, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %s RunEnergyCtx %v vs distribution energy %v", name, ex.EngineUsed, got, want)
 		}
 	}
 }
@@ -131,6 +229,48 @@ func TestRunEnergyMatchesDistribution(t *testing.T) {
 			if last[x] != v {
 				t.Fatalf("engine %s: LastDistribution[%v] = %v, want %v", ex.EngineUsed, x, last[x], v)
 			}
+		}
+	}
+}
+
+// TestRunEnergyZeroAllocs: a steady-state compiled evaluation allocates
+// nothing, whether its segments are one-operator sweeps (FLP-3) or include a
+// five-operator segment (SCP-4).
+func TestRunEnergyZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		p      *problems.Problem
+		maxSeg int // longest default segment
+	}{
+		{problems.FLP(3, 0), 1},
+		{problems.SCP(4, 0), 5},
+	} {
+		ex, err := NewExecutor(tc.p, mustBasisAndSchedule(t, tc.p), ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.EngineUsed != EngineCompiled {
+			t.Fatalf("%s: compiled executor fell back: %s", tc.p.Name, ex.EngineFallbackReason)
+		}
+		longest := 0
+		for _, seg := range ex.segments {
+			longest = max(longest, len(seg))
+		}
+		if longest != tc.maxSeg {
+			t.Fatalf("%s: longest segment holds %d operators, want %d", tc.p.Name, longest, tc.maxSeg)
+		}
+		times := make([]float64, ex.NumParams())
+		for i := range times {
+			times[i] = 0.55 + 0.07*float64(i%4)
+		}
+		ctx := context.Background()
+		eval := func() {
+			if _, err := ex.RunEnergyCtx(ctx, times, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eval() // warm-up: the clone's buffers are allocated on first use
+		if allocs := testing.AllocsPerRun(20, eval); allocs != 0 {
+			t.Errorf("%s: RunEnergyCtx allocates %v times per run; want 0", tc.p.Name, allocs)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"rasengan/internal/bitvec"
@@ -127,6 +126,9 @@ type Executor struct {
 	segments [][]int // operator indices per segment
 	stats    []opStats
 	opts     ExecOptions
+	// shotNS is the modeled time of one shot of each segment: its
+	// operators' compiled durations, then readout and reset.
+	shotNS []float64
 
 	// SegmentDepths holds the compiled depth of each segment circuit.
 	SegmentDepths []int
@@ -158,10 +160,11 @@ type Executor struct {
 	lastGoodDist map[bitvec.Vec]float64
 
 	// Telemetry sink (SetTelemetry). Kept out of ExecOptions so the
-	// canonical options fingerprint can never absorb a recorder.
+	// canonical options fingerprint can never absorb a recorder. clk holds
+	// this clone's segment and sample time since the last flushStages.
 	spans     *obs.Recorder
 	spanTrack int32
-	spanRoot  obs.SpanID
+	clk       stageClock
 
 	// workerLimit caps the kernel fan-out of this clone's compiled state
 	// (0 = package default). Kept out of ExecOptions for the same reason
@@ -185,12 +188,53 @@ func (e *Executor) SetWorkerLimit(n int) {
 }
 
 // SetTelemetry points the executor's span output at rec (nil disables),
-// tagging every segment/sample span with the given track and parent. The
-// solver calls this per clone so concurrent starts write disjoint tracks.
-func (e *Executor) SetTelemetry(rec *obs.Recorder, track int32, parent obs.SpanID) {
+// writing its segment/sample spans to the given track. The solver calls
+// this per clone so concurrent starts write disjoint tracks.
+func (e *Executor) SetTelemetry(rec *obs.Recorder, track int32) {
 	e.spans = rec
 	e.spanTrack = track
-	e.spanRoot = parent
+}
+
+// stageClock accumulates one executor clone's segment and sample time
+// between flushes, so tracing costs a few clock reads per evaluation and
+// two spans per flush rather than per segment.
+type stageClock struct {
+	mark            time.Duration // clock reading at the last lap
+	segment, sample time.Duration
+	pending         bool // an evaluation ran since the last flush
+}
+
+// startClock marks the start of an evaluation.
+func (e *Executor) startClock() {
+	if e.spans.Enabled() {
+		e.clk.mark = e.spans.Now()
+		e.clk.pending = true
+	}
+}
+
+// lap adds the time since the last mark to *stage, one of e.clk's totals.
+func (e *Executor) lap(stage *time.Duration) {
+	if e.spans.Enabled() {
+		now := e.spans.Now()
+		*stage += now - e.clk.mark
+		e.clk.mark = now
+	}
+}
+
+// flushStages records the segment and sample time accumulated since the
+// last flush as one span each under parent, back to back and ending at end,
+// and resets the totals. The solver flushes each start's clone in its
+// iteration hook and when the start ends, and the final evaluation under
+// its final_eval span.
+func (e *Executor) flushStages(parent obs.SpanID, end time.Duration) {
+	if !e.spans.Enabled() || !e.clk.pending {
+		return
+	}
+	mid := end - e.clk.sample
+	e.spans.Record(obs.StageSegment, e.spanTrack, parent, mid-e.clk.segment, mid,
+		obs.Attr{Key: obs.AttrEngine, Val: e.EngineUsed})
+	e.spans.Record(obs.StageSample, e.spanTrack, parent, mid, end)
+	e.clk = stageClock{}
 }
 
 // NewExecutor compiles the schedule and fixes the segmentation.
@@ -266,11 +310,13 @@ func NewExecutor(p *problems.Problem, ops []Transition, opts ExecOptions) (*Exec
 		}
 	}
 	for _, seg := range e.segments {
-		d := 0
+		d, ns := 0, 0.0
 		for _, i := range seg {
 			d += e.stats[i].depth
+			ns += e.stats[i].durationNS
 		}
 		e.SegmentDepths = append(e.SegmentDepths, d)
+		e.shotNS = append(e.shotNS, ns+durations.ReadoutNS+durations.ResetNS)
 	}
 	if opts.Engine != EngineMap {
 		e.compileEngine()
@@ -290,10 +336,11 @@ func (e *Executor) Clone() *Executor {
 	c.LastQuantumNS = 0
 	c.LastSegmentsRun = 0
 	c.LastTerminatedEarly = false
-	// The compiled plan is shared read-only, but runtime buffers and the
-	// last-distribution snapshot are per-clone state.
+	// The compiled plan is shared read-only, but runtime buffers, the
+	// last-distribution snapshot and the stage clock are per-clone state.
 	c.crt = nil
 	c.lastGoodDist = nil
+	c.clk = stageClock{}
 	return &c
 }
 
@@ -328,45 +375,54 @@ func (e *Executor) Run(t []float64, rng *rand.Rand) (map[bitvec.Vec]float64, err
 // RunCtx is Run with cooperative cancellation: ctx is checked before every
 // segment and between the per-input-state evolutions inside a segment, so a
 // deadline frees the caller within one state's worth of work rather than a
-// full schedule. On cancellation the context's error is returned and the
-// partial distribution is discarded.
+// full schedule. A one-operator segment of the exact compiled path is a
+// single sweep over the input distribution and is checked once. On
+// cancellation the context's error is returned and the partial
+// distribution is discarded.
 func (e *Executor) RunCtx(ctx context.Context, t []float64, rng *rand.Rand) (map[bitvec.Vec]float64, error) {
 	if len(t) != len(e.ops) {
 		return nil, fmt.Errorf("core: %d times for %d operators", len(t), len(e.ops))
 	}
+	var dist map[bitvec.Vec]float64
 	if e.plan != nil {
 		flat, err := e.runCompiled(ctx, t, rng)
 		if err != nil {
 			return nil, err
 		}
-		return e.flatToMap(flat), nil
+		dist = e.flatToMap(flat)
+	} else {
+		var err error
+		if dist, err = e.runMap(ctx, t, rng); err != nil {
+			return nil, err
+		}
 	}
+	e.lap(&e.clk.sample)
+	return dist, nil
+}
+
+// runMap is the map engine's segment loop.
+func (e *Executor) runMap(ctx context.Context, t []float64, rng *rand.Rand) (map[bitvec.Vec]float64, error) {
 	e.LastShotsUsed = 0
 	e.LastFeasibleShots = 0
 	e.LastMeasuredShots = 0
 	e.LastQuantumNS = 0
 	e.LastSegmentsRun = 0
 	e.LastTerminatedEarly = false
+	e.startClock()
+	defer e.lap(&e.clk.segment)
 
 	dist := map[bitvec.Vec]float64{e.p.Init: 1}
 	for segIdx, seg := range e.segments {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		segSpan := obs.NoParent
-		if e.spans.Enabled() {
-			segSpan = e.spans.Start(obs.StageSegment, e.spanTrack, e.spanRoot,
-				obs.Attr{Key: "segment", Val: strconv.Itoa(segIdx)},
-				obs.Attr{Key: obs.AttrEngine, Val: EngineMap})
-		}
 		var next map[bitvec.Vec]float64
 		var err error
 		if e.opts.Shots <= 0 && e.opts.Device == nil {
-			next, err = e.runSegmentExact(ctx, seg, t, dist, segSpan)
+			next, err = e.runSegmentExact(ctx, segIdx, seg, t, dist)
 		} else {
-			next, err = e.runSegmentSampled(ctx, segIdx, seg, t, dist, rng, segSpan)
+			next, err = e.runSegmentSampled(ctx, segIdx, seg, t, dist, rng)
 		}
-		e.spans.End(segSpan)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +442,7 @@ func (e *Executor) RunCtx(ctx context.Context, t []float64, rng *rand.Rand) (map
 // state evolves coherently through the segment, is "measured", and its
 // outcome distribution is mixed in with the incoming weight. This is the
 // Shots → ∞ limit of the sampled path.
-func (e *Executor) runSegmentExact(ctx context.Context, seg []int, t []float64, in map[bitvec.Vec]float64, segSpan obs.SpanID) (map[bitvec.Vec]float64, error) {
+func (e *Executor) runSegmentExact(ctx context.Context, segIdx int, seg []int, t []float64, in map[bitvec.Vec]float64) (map[bitvec.Vec]float64, error) {
 	// Model the hardware time this segment would take at the default shot
 	// budget, so latency accounting stays comparable across exact and
 	// sampled runs.
@@ -394,18 +450,9 @@ func (e *Executor) runSegmentExact(ctx context.Context, seg []int, t []float64, 
 	if modelShots <= 0 {
 		modelShots = 1024
 	}
-	segNS := 0.0
-	for _, i := range seg {
-		segNS += e.stats[i].durationNS
-	}
-	d := transpile.DefaultDurations()
-	e.LastQuantumNS += float64(modelShots) * (segNS + d.ReadoutNS + d.ResetNS)
+	e.LastQuantumNS += float64(modelShots) * e.shotNS[segIdx]
 	e.LastShotsUsed += modelShots
 
-	// Measurement time (probability collapse + purification) is accumulated
-	// across states and emitted as one StageSample span per segment, so the
-	// span count stays O(segments) rather than O(states).
-	var sampleDur time.Duration
 	out := map[bitvec.Vec]float64{}
 	for _, x := range sortedDistKeys(in) {
 		if err := ctx.Err(); err != nil {
@@ -416,30 +463,21 @@ func (e *Executor) runSegmentExact(ctx context.Context, seg []int, t []float64, 
 		for _, i := range seg {
 			st.ApplyTransition(e.ops[i].U, t[i])
 		}
-		mark := e.spans.Now()
 		probs := st.Probabilities()
 		for _, y := range st.Support() {
 			out[y] += w * probs[y]
 		}
-		sampleDur += e.spans.Now() - mark
 	}
-	mark := e.spans.Now()
 	if !e.opts.DisablePurify {
 		purifyDist(out, e.p)
 	}
 	normalizeDist(out)
-	if e.spans.Enabled() {
-		end := e.spans.Now()
-		sampleDur += end - mark
-		e.spans.Record(obs.StageSample, e.spanTrack, segSpan, end-sampleDur, end)
-	}
 	return out, nil
 }
 
 // runSegmentSampled is the hardware-path execution: shot allocation,
 // trajectory noise, measurement, readout error, purification.
-func (e *Executor) runSegmentSampled(ctx context.Context, segIdx int, seg []int, t []float64, in map[bitvec.Vec]float64, rng *rand.Rand, segSpan obs.SpanID) (map[bitvec.Vec]float64, error) {
-	var sampleDur time.Duration // shot sampling + readout time, one span per segment
+func (e *Executor) runSegmentSampled(ctx context.Context, segIdx int, seg []int, t []float64, in map[bitvec.Vec]float64, rng *rand.Rand) (map[bitvec.Vec]float64, error) {
 	shots := e.opts.shotsForSegment(segIdx)
 	counts := map[bitvec.Vec]int{}
 	states := sortedDistKeys(in)
@@ -457,15 +495,7 @@ func (e *Executor) runSegmentSampled(ctx context.Context, segIdx int, seg []int,
 		}
 		e.LastShotsUsed += nx
 		// Latency: every shot replays the segment circuit.
-		segNS := 0.0
-		for _, i := range seg {
-			segNS += e.stats[i].durationNS
-		}
-		durations := transpile.DefaultDurations()
-		if e.opts.Device != nil {
-			durations = e.opts.Device.Durations
-		}
-		e.LastQuantumNS += float64(nx) * (segNS + durations.ReadoutNS + durations.ResetNS)
+		e.LastQuantumNS += float64(nx) * e.shotNS[segIdx]
 
 		traj := e.opts.trajectories()
 		if noise == nil || noise.IsZero() {
@@ -490,7 +520,6 @@ func (e *Executor) runSegmentSampled(ctx context.Context, segIdx int, seg []int,
 					e.injectOperatorNoise(st, i, rng)
 				}
 			}
-			mark := e.spans.Now()
 			sampled := st.Sample(rng, n)
 			// Sorted key order: readout flips consume rng, so map-iteration
 			// order must not leak into the run's randomness.
@@ -504,9 +533,9 @@ func (e *Executor) runSegmentSampled(ctx context.Context, segIdx int, seg []int,
 					counts[y] += c
 				}
 			}
-			sampleDur += e.spans.Now() - mark
 		}
 	}
+	e.lap(&e.clk.segment)
 	if len(counts) == 0 {
 		return nil, fmt.Errorf("core: %s: zero shots allocated in segment", e.p.Name)
 	}
@@ -520,16 +549,11 @@ func (e *Executor) runSegmentSampled(ctx context.Context, segIdx int, seg []int,
 		}
 	}
 	e.LastMeasuredShots += total
-	mark := e.spans.Now()
 	if !e.opts.DisablePurify {
 		purifyDist(out, e.p)
 	}
 	normalizeDist(out)
-	if e.spans.Enabled() {
-		end := e.spans.Now()
-		sampleDur += end - mark
-		e.spans.Record(obs.StageSample, e.spanTrack, segSpan, end-sampleDur, end)
-	}
+	e.lap(&e.clk.sample)
 	return out, nil
 }
 

@@ -83,9 +83,10 @@ type Options struct {
 type TelemetryOptions struct {
 	// Spans, when non-nil, receives a span per pipeline stage: the solve
 	// root, basis construction, transition-Hamiltonian/schedule build,
-	// circuit compile, every optimizer iteration, every simulator segment,
-	// sampling, and the final evaluation. The recorder may be shared by
-	// concurrent solves; each solve allocates its own tracks.
+	// circuit compile, every optimizer iteration with the simulator's
+	// segment and sample time of that iteration beneath it, and the final
+	// evaluation. The recorder may be shared by concurrent solves; each
+	// solve allocates its own tracks.
 	Spans *obs.Recorder
 	// Convergence captures a per-iteration record of the winning
 	// optimizer start into Result.Convergence.
@@ -402,7 +403,7 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 	}
 	parallel.ForWorkers(fanWidth, len(starts), func(i int) {
 		ex := exec.Clone()
-		ex.SetTelemetry(rec, startTracks[i], root)
+		ex.SetTelemetry(rec, startTracks[i])
 		if lim != nil {
 			ex.SetWorkerLimit(innerWidth())
 		}
@@ -510,9 +511,11 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 		}
 		if telemetryOn {
 			// The hook observes iteration boundaries: a span from the previous
-			// boundary to now, and a convergence record of the running best.
-			// It reads only values the optimizer already computed, so wiring
-			// it cannot change the run (see optimize.Options.OnIteration).
+			// boundary to now with the executor's segment and sample time of
+			// the iteration flushed beneath it, and a convergence record of
+			// the running best. It reads only values the optimizer already
+			// computed, so wiring it cannot change the run (see
+			// optimize.Options.OnIteration).
 			wallStart := time.Now()
 			lastMark := rec.Now()
 			oopts.OnIteration = func(iter int, bestF float64, bestX []float64) {
@@ -521,8 +524,9 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 				}
 				if rec.Enabled() {
 					now := rec.Now()
-					rec.Record(obs.StageIteration, startTracks[i], root, lastMark, now,
+					id := rec.Record(obs.StageIteration, startTracks[i], root, lastMark, now,
 						obs.Attr{Key: "iter", Val: strconv.Itoa(iter)})
+					ex.flushStages(id, now)
 					lastMark = now
 				}
 				if !opts.Telemetry.Convergence && cell == nil {
@@ -559,6 +563,8 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 			}
 		}
 		o.res = optimize.Minimize(opts.Optimizer, objective, starts[i], oopts)
+		// Evaluations after the last iteration boundary.
+		ex.flushStages(root, rec.Now())
 		if persist && ctx.Err() == nil {
 			// Completion record: a later resume replays this start's result
 			// instead of re-optimizing. Skipped on cancellation — the
@@ -600,13 +606,14 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 	// Final evaluation at the optimizer's best parameters to produce the
 	// reported distribution and in-constraints accounting. It runs alone,
 	// so it may use the lease's full current width.
-	exec.SetTelemetry(rec, mainTrack, root)
+	exec.SetTelemetry(rec, mainTrack)
 	if lim != nil {
 		exec.SetWorkerLimit(parallel.LimiterWidth(lim))
 	}
 	finalRng := parallel.NewRand(opts.Seed+7, uint64(len(starts)))
 	sp = rec.Start(obs.StageFinalEval, mainTrack, root)
 	finalDist, err := exec.RunCtx(ctx, res.X, finalRng)
+	exec.flushStages(sp, rec.Now())
 	rec.End(sp)
 	quantumNS += exec.LastQuantumNS
 	if err != nil {

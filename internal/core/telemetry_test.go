@@ -68,6 +68,53 @@ func TestSolveTelemetrySpanCoverage(t *testing.T) {
 	}
 }
 
+// TestSolveSpansBoundedByIterations: a traced solve records a constant
+// number of spans per optimizer iteration, however many evaluations and
+// segments each iteration runs — the executor flushes its segment and
+// sample time once per iteration instead of recording spans per segment.
+func TestSolveSpansBoundedByIterations(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		p       *problems.Problem
+		maxIter int
+		exec    ExecOptions
+	}{
+		{"F3", problems.FLP(3, 0), 100, ExecOptions{}},
+		{"K3", problems.KPP(3, 0), 100, ExecOptions{}},
+		{"S3", problems.SCP(3, 0), 100, ExecOptions{}},
+		{"G3", problems.GCP(3, 0), 100, ExecOptions{}},
+		{"F2 sampled", problems.FLP(2, 0), 60, ExecOptions{Shots: 256}},
+		{"F1 noisy", problems.FLP(1, 0), 40, ExecOptions{Shots: 256, OpsPerSegment: 1, Device: device.Kyiv(), Trajectories: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			_, err := Solve(context.Background(), tc.p, Options{
+				MaxIter:   tc.maxIter,
+				Seed:      1,
+				Exec:      tc.exec,
+				Telemetry: TelemetryOptions{Spans: rec, Convergence: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			byStage := map[string]int{}
+			for _, s := range rec.Spans() {
+				byStage[s.Name]++
+			}
+			iters := byStage[obs.StageIteration]
+			if iters < 10 {
+				t.Fatalf("only %d iteration spans: %v", iters, byStage)
+			}
+			if n := rec.Len(); n > 4*iters {
+				t.Errorf("%d spans for %d iterations, want at most %d: %v", n, iters, 4*iters, byStage)
+			}
+			if byStage[obs.StageSegment] == 0 || byStage[obs.StageSample] == 0 {
+				t.Errorf("no segment or sample spans: %v", byStage)
+			}
+		})
+	}
+}
+
 // TestSolveTelemetryARG checks the running approximation-ratio gap is
 // populated (and converging toward the truth) when the optimum is known.
 func TestSolveTelemetryARG(t *testing.T) {
@@ -189,34 +236,34 @@ func TestTelemetryExcludedFromFingerprint(t *testing.T) {
 	}
 }
 
-// Telemetry overhead benchmarks: the disabled path must stay within noise
-// of the pre-telemetry solver (nil-receiver checks only), and the enabled
-// path quantifies the recording cost.
+// Telemetry overhead benchmarks: a plain solve against a served-style one,
+// which records stage spans, convergence and live progress the way the
+// solve service does for every solve it executes. The disabled path costs
+// nil checks only; the enabled path pays a few clock reads per evaluation
+// and three spans per optimizer iteration.
 
-func BenchmarkSolveTelemetryOff(b *testing.B) {
-	p := problems.FLP(1, 0)
+func benchSolve(b *testing.B, p *problems.Problem, served bool) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(context.Background(), p, Options{MaxIter: 60, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveTelemetryOn(b *testing.B) {
-	p := problems.FLP(1, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := Options{
-			MaxIter:   60,
-			Seed:      int64(i),
-			Telemetry: TelemetryOptions{Spans: obs.NewRecorder(), Convergence: true},
+		opts := Options{Seed: 1}
+		if served {
+			opts.Telemetry = TelemetryOptions{Spans: obs.NewRecorder(), Convergence: true, Progress: obs.NewProgressCell()}
 		}
 		if _, err := Solve(context.Background(), p, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+func BenchmarkSolvePlainF3(b *testing.B)  { benchSolve(b, problems.FLP(3, 0), false) }
+func BenchmarkSolveServedF3(b *testing.B) { benchSolve(b, problems.FLP(3, 0), true) }
+func BenchmarkSolvePlainK3(b *testing.B)  { benchSolve(b, problems.KPP(3, 0), false) }
+func BenchmarkSolveServedK3(b *testing.B) { benchSolve(b, problems.KPP(3, 0), true) }
+func BenchmarkSolvePlainS3(b *testing.B)  { benchSolve(b, problems.SCP(3, 0), false) }
+func BenchmarkSolveServedS3(b *testing.B) { benchSolve(b, problems.SCP(3, 0), true) }
+func BenchmarkSolvePlainG3(b *testing.B)  { benchSolve(b, problems.GCP(3, 0), false) }
+func BenchmarkSolveServedG3(b *testing.B) { benchSolve(b, problems.GCP(3, 0), true) }
 
 // TestSolveProgressMatchesConvergence runs a single-start solve with both
 // the convergence trace and a live-progress cell on. Both are fed from one

@@ -34,11 +34,18 @@ const (
 	StageCircuit = "circuit"
 	// StageIteration is one classical optimizer iteration.
 	StageIteration = "iteration"
-	// StageSegment is one simulator segment execution (evolution through
-	// the segment's transition operators for every live input state).
+	// StageSegment is simulator segment execution: evolution through the
+	// segments' transition operators for every live input state. The
+	// executor sums it across evaluations and records one span per
+	// optimizer iteration, not one per segment. On the exact path it also
+	// covers the probability collapse, purification and normalization,
+	// which run fused with the evolution; on the sampled path it also
+	// covers the shot draws and readout flips, which run per input state.
 	StageSegment = "segment"
-	// StageSample is measurement: shot sampling plus readout error in the
-	// sampled path, probability collapse in the exact path.
+	// StageSample is measurement readout, summed like StageSegment: on the
+	// sampled path each segment's shot tally, purification and
+	// normalization, and on both paths the evaluation's readout of its
+	// final distribution (the energy, or the distribution handed back).
 	StageSample = "sample"
 	// StageFinalEval is the final distribution evaluation at the
 	// optimizer's best parameters.

@@ -326,20 +326,28 @@ func (s *CompiledState) AmpAt(i int32) complex128 { return s.amps[i] }
 
 // ApplyTransition applies exp(-i·H^τ(u)·t) for scheduled operator op — the
 // same Equation 6 pairing as Sparse.ApplyTransition, over precompiled
-// partner indices instead of map probes. Only the snapshot prefix of the
-// active list is processed; states activated mid-pass (partners entering the
-// support) are appended behind it, exactly mirroring the map engine's
-// support-snapshot semantics. Pairs under a fixed u are disjoint, so each
-// pair is rotated exactly once: from its lower member when that member is in
-// the snapshot, from the upper member otherwise.
+// partner indices instead of map probes. It is ApplyTransitionCS with the
+// angle's cosine and sine taken here; callers that apply one operator to
+// many states compute them once and call ApplyTransitionCS.
 func (s *CompiledState) ApplyTransition(op int, t float64) {
+	s.ApplyTransitionCS(op, math.Cos(t), math.Sin(t))
+}
+
+// ApplyTransitionCS applies exp(-i·H^τ(u)·t) for scheduled operator op given
+// cos t and sin t. Only the snapshot prefix of the active list is processed;
+// states activated mid-pass (partners entering the support) are appended
+// behind it, exactly mirroring the map engine's support-snapshot semantics.
+// Pairs under a fixed u are disjoint, so each pair is rotated exactly once:
+// from its lower member when that member is in the snapshot, from the upper
+// member otherwise.
+func (s *CompiledState) ApplyTransitionCS(op int, cos, sin float64) {
 	r := s.space.opRow[op]
 	if r < 0 {
 		return // all-zero vector: no-op, as in Sparse
 	}
 	row := s.space.partners[r]
-	ct := complex(math.Cos(t), 0)
-	st := complex(0, math.Sin(t))
+	ct := complex(cos, 0)
+	st := complex(0, sin)
 	snapshot := len(s.active)
 	if snapshot >= compiledShardMin && s.workerLimit() > 1 {
 		s.applySharded(row, ct, st, snapshot)
@@ -435,6 +443,55 @@ func (s *CompiledState) applySharded(row []int32, ct, st complex128, snapshot in
 	}
 }
 
+// CollapseTransition adds to out the measured outcome of evolving every
+// basis state of a mixture through scheduled operator op alone, given
+// cos t and sin t: for each index x with weight w = in[x] ≠ 0, w·cos²t at x
+// and w·sin²t at its partner, or w at x when x is a fixed point or op is
+// all-zero. It equals Reset(x), ApplyTransitionCS and a merge of the
+// surviving |amplitude|² for every such x in ascending order, bit for bit:
+// from |x⟩ the rotation leaves ct·1 − st·0 = (cos t, 0) at x and
+// ct·0 − st·1 = (±0, −sin t) at the partner, on either branch of the
+// kernel, so the products by exact zeros and ones drop out and |·|² is
+// cos·cos and sin·sin. The prune keeps an amplitude unless its |·|² is
+// below sparseEps² — a NaN is kept — and the decision depends only on the
+// angle, so it is taken once. Visiting inputs in ascending order makes
+// every out slot accumulate in the merge loop's order.
+func (cs *CompiledSpace) CollapseTransition(op int, cos, sin float64, in, out []float64) {
+	r := cs.opRow[op]
+	if r < 0 {
+		for x, w := range in {
+			if w != 0 {
+				out[x] += w
+			}
+		}
+		return
+	}
+	row := cs.partners[r]
+	c2, s2 := cos*cos, sin*sin
+	keepSelf := !(c2 < sparseEps*sparseEps)
+	keepPartner := !(s2 < sparseEps*sparseEps)
+	for x, w := range in {
+		if w == 0 {
+			continue
+		}
+		pr := row[x]
+		if pr == 0 {
+			out[x] += w
+			continue
+		}
+		j := pr - 1
+		if pr < 0 {
+			j = -pr - 1
+		}
+		if keepSelf {
+			out[x] += w * c2
+		}
+		if keepPartner {
+			out[j] += w * s2
+		}
+	}
+}
+
 // prune drops active entries below the same sparseEps threshold as the map
 // engine, zeroing and un-stamping their slots so a later activation starts
 // from a clean 0 — this keeps the stored support exactly equal to Sparse's
@@ -454,6 +511,11 @@ func (s *CompiledState) prune() {
 	}
 	s.active = s.active[:w]
 }
+
+// Active returns the active indices in activation order, each exactly
+// once. The slice aliases internal state: it is valid until the next
+// mutating call.
+func (s *CompiledState) Active() []int32 { return s.active }
 
 // SortedActive sorts the active list ascending in place and returns it.
 // Ascending dense index is ascending bitvec.Compare order by construction,

@@ -1,6 +1,7 @@
 package quantum
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -250,5 +251,65 @@ func TestCompiledResetClearsState(t *testing.T) {
 	}
 	if nrm := st.Norm(); nrm != 1 {
 		t.Fatalf("norm %v after reset, want 1", nrm)
+	}
+}
+
+// TestCollapseTransitionMatchesEvolve pins the one-operator sweep to the
+// loop it replaces — Reset, ApplyTransition and a merge of the surviving
+// |amplitude|² for every weighted input state in ascending order — bit for
+// bit, at every prune edge: angles whose cos² or sin² falls under
+// sparseEps², signed zeros, and non-finite angles and weights, whose NaNs
+// the prune keeps.
+func TestCollapseTransitionMatchesEvolve(t *testing.T) {
+	angles := []float64{0, math.Copysign(0, -1), 1e-15, 1e-14, 2e-14, math.Pi / 2, -math.Pi / 2,
+		math.Pi, 3 * math.Pi / 2, 1e10, math.Inf(1), math.NaN()}
+	for trial := 0; trial < 12; trial++ {
+		rng := rand.New(rand.NewSource(int64(3000 + trial)))
+		n := 4 + rng.Intn(8)
+		ops := randTransitionOps(rng, n, 2+rng.Intn(4))
+		init := bitvec.New(n)
+		for i := 0; i < n; i++ {
+			init.Set(i, rng.Intn(2) == 1)
+		}
+		cs, ok := CompileSpace(init, ops, 0)
+		if !ok {
+			t.Fatalf("trial %d: compile failed", trial)
+		}
+		in := make([]float64, cs.Size())
+		for i := range in {
+			if rng.Intn(3) > 0 {
+				in[i] = rng.Float64()
+			}
+		}
+		if trial%4 == 3 {
+			in[rng.Intn(len(in))] = math.NaN()
+		}
+		st := cs.NewState()
+		want := make([]float64, cs.Size())
+		got := make([]float64, cs.Size())
+		for op := range ops {
+			for _, a := range append(angles, rng.Float64()*7) {
+				clear(want)
+				clear(got)
+				for x, w := range in {
+					if w == 0 {
+						continue
+					}
+					st.Reset(int32(x))
+					st.ApplyTransition(op, a)
+					for _, y := range st.SortedActive() {
+						amp := st.AmpAt(y)
+						want[y] += w * (real(amp)*real(amp) + imag(amp)*imag(amp))
+					}
+				}
+				cs.CollapseTransition(op, math.Cos(a), math.Sin(a), in, got)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) &&
+						!(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+						t.Fatalf("trial %d op %d t=%v: out[%d] = %v, evolve loop gives %v", trial, op, a, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

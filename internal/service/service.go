@@ -781,11 +781,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		state = "draining"
 	}
 	api.WriteJSON(w, http.StatusOK, api.Health{
-		Status:     "ok",
-		State:      state,
-		Queued:     s.queue.Depth(),
-		Executing:  int(s.solvesRunning.Value()),
-		QueueDepth: s.queue.Depth(),
+		Status:    "ok",
+		State:     state,
+		Queued:    s.queue.Depth(),
+		Executing: int(s.solvesRunning.Value()),
 	})
 }
 
