@@ -207,42 +207,72 @@ func FromUint64(u uint64, n int) Vec {
 	return v
 }
 
-// AddSigned returns v + d interpreted component-wise over the integers,
-// where d is a vector with entries in {-1,0,+1}. The second result is false
-// when any component of the sum leaves {0,1}, i.e. the move is not a valid
-// binary transition (the case the transition Hamiltonian annihilates).
-func (v Vec) AddSigned(d []int64) (Vec, bool) { return v.addSigned(d, 1) }
+// Move is a transition vector u ∈ {-1,0,+1}^n packed for the ±u moves of
+// the feasible-graph walks (closure BFS, schedule dry run, subspace
+// compile): a +1 word mask and a −1 word mask, built once per vector. On
+// the support of u, x+u exists iff x is 0 wherever u is +1 and 1 wherever
+// u is −1, and x−u exists iff the reverse holds; either move then flips
+// exactly the support. A move is a few word operations and allocates
+// nothing.
+type Move struct {
+	plus, minus [words]uint64
+	n           int
+}
 
-// SubSigned returns v - d under the same rules as AddSigned.
-func (v Vec) SubSigned(d []int64) (Vec, bool) { return v.addSigned(d, -1) }
-
-// addSigned returns v + sign·d for sign ±1. Every ±u move of the feasible
-// walks (schedule dry run, closure BFS, subspace compile) goes through
-// here, so it works on the packed words directly and allocates nothing.
-func (v Vec) addSigned(d []int64, sign int64) (Vec, bool) {
-	if len(d) != v.n {
-		panic(fmt.Sprintf("bitvec: AddSigned length mismatch %d != %d", len(d), v.n))
+// NewMove packs u. It panics when u is longer than MaxBits or has an entry
+// outside {-1,0,1}, which indicates a programming error in the caller.
+func NewMove(u []int64) Move {
+	if len(u) > MaxBits {
+		panic(fmt.Sprintf("bitvec: move length %d exceeds capacity %d", len(u), MaxBits))
 	}
-	out := v
-	for i, di := range d {
-		w, bit := i/64, uint64(1)<<(uint(i)%64)
-		switch sign * di {
+	m := Move{n: len(u)}
+	for i, d := range u {
+		bit := uint64(1) << (uint(i) % 64)
+		switch d {
 		case 0:
 		case 1:
-			if v.w[w]&bit != 0 {
-				return Vec{}, false
-			}
-			out.w[w] |= bit
+			m.plus[i/64] |= bit
 		case -1:
-			if v.w[w]&bit == 0 {
-				return Vec{}, false
-			}
-			out.w[w] &^= bit
+			m.minus[i/64] |= bit
 		default:
-			panic(fmt.Sprintf("bitvec: AddSigned entry %d at %d not in {-1,0,1}", sign*di, i))
+			panic(fmt.Sprintf("bitvec: move entry %d at %d not in {-1,0,1}", d, i))
 		}
 	}
-	return out, true
+	return m
+}
+
+// Add returns x + u over the integers. The second result is false when
+// some component leaves {0,1}, i.e. the move is not a valid binary
+// transition (the case the transition Hamiltonian annihilates).
+func (m *Move) Add(x Vec) (Vec, bool) { return m.apply(x, &m.minus) }
+
+// Sub returns x − u under the same rules as Add.
+func (m *Move) Sub(x Vec) (Vec, bool) { return m.apply(x, &m.plus) }
+
+// apply flips the support of u in x when x restricted to that support
+// equals ones: the −1 mask for x+u, the +1 mask for x−u.
+func (m *Move) apply(x Vec, ones *[words]uint64) (Vec, bool) {
+	if x.n != m.n {
+		panic(fmt.Sprintf("bitvec: move length mismatch %d != %d", m.n, x.n))
+	}
+	for i := range x.w {
+		if x.w[i]&(m.plus[i]|m.minus[i]) != ones[i] {
+			return Vec{}, false
+		}
+	}
+	for i := range x.w {
+		x.w[i] ^= m.plus[i] | m.minus[i]
+	}
+	return x, true
+}
+
+// NewMoves packs every vector of us.
+func NewMoves(us [][]int64) []Move {
+	out := make([]Move, len(us))
+	for i, u := range us {
+		out[i] = NewMove(u)
+	}
+	return out
 }
 
 // Compare orders vectors first by length then lexicographically by bit

@@ -96,15 +96,15 @@ func TestUint64RoundTrip(t *testing.T) {
 	}
 }
 
-func TestAddSigned(t *testing.T) {
+func TestMoveAddSub(t *testing.T) {
 	x := FromBits([]int{0, 0, 0, 1, 0})
-	u := []int64{-1, 1, 0, 0, 0}
-	if _, ok := x.AddSigned(u); ok {
+	u := NewMove([]int64{-1, 1, 0, 0, 0})
+	if _, ok := u.Add(x); ok {
 		t.Error("x+u should be invalid (x0-1 = -1)")
 	}
 	// x - u2 with u2 = [-1,0,-1,1,0]: x2 = [1,0,1,0,0] (paper example).
-	u2 := []int64{-1, 0, -1, 1, 0}
-	got, ok := x.SubSigned(u2)
+	u2 := NewMove([]int64{-1, 0, -1, 1, 0})
+	got, ok := u2.Sub(x)
 	if !ok {
 		t.Fatal("x-u2 should be valid")
 	}
@@ -113,8 +113,8 @@ func TestAddSigned(t *testing.T) {
 		t.Errorf("x-u2 = %v, want %v", got, want)
 	}
 	// x + u3 with u3 = [1,0,1,0,1]: x3 = [1,0,1,1,1] (paper example).
-	u3 := []int64{1, 0, 1, 0, 1}
-	got, ok = x.AddSigned(u3)
+	u3 := NewMove([]int64{1, 0, 1, 0, 1})
+	got, ok = u3.Add(x)
 	if !ok {
 		t.Fatal("x+u3 should be valid")
 	}
@@ -124,7 +124,7 @@ func TestAddSigned(t *testing.T) {
 	}
 }
 
-func TestAddSignedInverse(t *testing.T) {
+func TestMoveInverse(t *testing.T) {
 	// Property: if x+u is valid then (x+u)-u == x.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -133,15 +133,16 @@ func TestAddSignedInverse(t *testing.T) {
 		for i := 0; i < n; i++ {
 			v.Set(i, rng.Intn(2) == 1)
 		}
-		u := make([]int64, n)
-		for i := range u {
-			u[i] = int64(rng.Intn(3) - 1)
+		d := make([]int64, n)
+		for i := range d {
+			d[i] = int64(rng.Intn(3) - 1)
 		}
-		w, ok := v.AddSigned(u)
+		u := NewMove(d)
+		w, ok := u.Add(v)
 		if !ok {
 			return true
 		}
-		back, ok2 := w.SubSigned(u)
+		back, ok2 := u.Sub(w)
 		return ok2 && back.Equal(v)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -91,7 +91,7 @@ func TestBoundaryOnesCountIntsString(t *testing.T) {
 	}
 }
 
-func TestBoundaryAddSignedAcrossWords(t *testing.T) {
+func TestBoundaryMoveAcrossWords(t *testing.T) {
 	for _, n := range boundaryLengths {
 		if n < 2 {
 			continue
@@ -104,21 +104,22 @@ func TestBoundaryAddSignedAcrossWords(t *testing.T) {
 			d[i] = 1
 		}
 		v := New(n)
-		got, ok := v.AddSigned(d)
+		u := NewMove(d)
+		got, ok := u.Add(v)
 		if !ok || got.OnesCount() != len(idx) {
-			t.Fatalf("n=%d: AddSigned(+edges) ok=%v count=%d want %d", n, ok, got.OnesCount(), len(idx))
+			t.Fatalf("n=%d: Add(+edges) ok=%v count=%d want %d", n, ok, got.OnesCount(), len(idx))
 		}
 		// Subtracting the same move returns to zero; subtracting from zero
 		// is annihilated.
-		back, ok := got.SubSigned(d)
+		back, ok := u.Sub(got)
 		if !ok || back.OnesCount() != 0 {
-			t.Fatalf("n=%d: SubSigned round trip failed", n)
+			t.Fatalf("n=%d: Sub round trip failed", n)
 		}
-		if _, ok := v.SubSigned(d); ok {
-			t.Fatalf("n=%d: SubSigned on zero vector should annihilate", n)
+		if _, ok := u.Sub(v); ok {
+			t.Fatalf("n=%d: Sub on zero vector should annihilate", n)
 		}
-		if _, ok := got.AddSigned(d); ok {
-			t.Fatalf("n=%d: AddSigned onto set bits should annihilate", n)
+		if _, ok := u.Add(got); ok {
+			t.Fatalf("n=%d: Add onto set bits should annihilate", n)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"rasengan/internal/bitvec"
@@ -59,6 +60,8 @@ func Canonical(u []int64) []int64 {
 	}
 	return u
 }
+
+func equalVectors(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
 
 func vecKey(u []int64) string {
 	b := make([]byte, len(u))
@@ -194,17 +197,42 @@ type TernarySearchOptions struct {
 // columns pick up ±2), the transition Hamiltonians the paper's Definition
 // 1 requires must be recovered directly as ternary kernel vectors.
 func TernaryKernelVectors(C *linalg.IntMat, opts TernarySearchOptions) [][]int64 {
+	sup := opts.MaxSupport
+	if sup <= 0 {
+		sup = C.Cols
+	}
+	return ternaryLadder(C, sup, sup, opts.NodeBudget, opts.MaxVectors)[0]
+}
+
+// ternaryLadder runs the search of TernaryKernelVectors once for every
+// support bound lo..hi and returns the list of each: levels[L-lo] is what
+// TernaryKernelVectors returns for MaxSupport L with the same budgets. It
+// returns nil when lo > hi.
+//
+// One depth-first pass serves every level, because a level's search tree
+// is the full tree cut at its support bound, visited in the same order.
+// Each level's caps are emulated exactly: a node with prefix support s
+// counts toward every level L ≥ s, and level L stops at the first node
+// entry where its count passes the node budget or where it already holds
+// maxVectors vectors. Counts and vector tallies grow with L, so levels
+// stop from the top down and the running ones are always lo..top; the
+// search branches only up to top. Level L's list is the vectors of support
+// ≤ L found before L stopped, in DFS order, stable-sorted by support.
+func ternaryLadder(C *linalg.IntMat, lo, hi, nodeBudget, maxVectors int) [][][]int64 {
+	if lo > hi {
+		return nil
+	}
 	n := C.Cols
 	rows := C.Rows
-	if opts.MaxSupport <= 0 || opts.MaxSupport > n {
-		opts.MaxSupport = n
+	if nodeBudget <= 0 {
+		nodeBudget = 4_000_000
 	}
-	if opts.NodeBudget <= 0 {
-		opts.NodeBudget = 4_000_000
+	if maxVectors <= 0 {
+		maxVectors = 512
 	}
-	if opts.MaxVectors <= 0 {
-		opts.MaxVectors = 512
-	}
+	// A bound above n searches the same tree as n: the search runs the
+	// levels loE..hiE and the higher ones copy level n.
+	loE, hiE := min(lo, n), min(hi, n)
 	// The columns in compressed sparse form (row indices and coefficients
 	// of column i at colPtr[i]:colPtr[i+1]), and the suffix bounds
 	// column-major: suf[i*rows+r] is the maximum |contribution| the
@@ -232,14 +260,37 @@ func TernaryKernelVectors(C *linalg.IntMat, opts TernarySearchOptions) [][]int64
 			suf[i*rows+colRow[k]] += c
 		}
 	}
-	var out [][]int64
+
+	// found holds every vector in DFS order with its support. top is the
+	// highest running level; nodes and tally are its node count and the
+	// number of found vectors it holds. entered[s] and foundAt[s] count
+	// node entries and vectors of support exactly s, from which a lower
+	// level's counts follow when the top one stops. stop[L-loE] is
+	// len(found) when level L stopped.
+	var found [][]int64
+	var support []int
+	top := hiE
+	nodes, tally := 0, 0
+	entered := make([]int, hiE+1)
+	foundAt := make([]int, hiE+1)
+	stop := make([]int, hiE-loE+1)
+	for k := range stop {
+		stop[k] = -1
+	}
 	cur := make([]int64, n)
 	sums := make([]int64, rows)
-	nodes := 0
-	var dfs func(i, support int, anyNonzero bool)
-	dfs = func(i, support int, anyNonzero bool) {
+	var dfs func(i, s int, anyNonzero bool)
+	dfs = func(i, s int, anyNonzero bool) {
+		// Every entered node has s ≤ top, so it counts for top.
+		entered[s]++
 		nodes++
-		if nodes > opts.NodeBudget || len(out) >= opts.MaxVectors {
+		for top >= loE && (nodes > nodeBudget || tally >= maxVectors) {
+			stop[top-loE] = len(found)
+			nodes -= entered[top]
+			tally -= foundAt[top]
+			top--
+		}
+		if top < loE || s > top {
 			return
 		}
 		// Interval pruning. The parent node passed this test for every
@@ -249,14 +300,17 @@ func TernaryKernelVectors(C *linalg.IntMat, opts TernarySearchOptions) [][]int64
 			bound := suf[i*rows : (i+1)*rows]
 			for k := colPtr[i-1]; k < colPtr[i]; k++ {
 				r := colRow[k]
-				if s := sums[r]; s > bound[r] || -s > bound[r] {
+				if x := sums[r]; x > bound[r] || -x > bound[r] {
 					return
 				}
 			}
 		}
 		if i == n {
 			if anyNonzero {
-				out = append(out, append([]int64(nil), cur...))
+				found = append(found, append([]int64(nil), cur...))
+				support = append(support, s)
+				foundAt[s]++
+				tally++
 			}
 			return
 		}
@@ -267,17 +321,17 @@ func TernaryKernelVectors(C *linalg.IntMat, opts TernarySearchOptions) [][]int64
 		}
 		for _, v := range vals[:nv] {
 			if v == 0 {
-				dfs(i+1, support, anyNonzero)
+				dfs(i+1, s, anyNonzero)
 				continue
 			}
-			if support == opts.MaxSupport {
+			if top < loE || s+1 > top {
 				continue
 			}
 			cur[i] = v
 			for k := colPtr[i]; k < colPtr[i+1]; k++ {
 				sums[colRow[k]] += v * colCoef[k]
 			}
-			dfs(i+1, support+1, true)
+			dfs(i+1, s+1, true)
 			for k := colPtr[i]; k < colPtr[i+1]; k++ {
 				sums[colRow[k]] -= v * colCoef[k]
 			}
@@ -285,8 +339,34 @@ func TernaryKernelVectors(C *linalg.IntMat, opts TernarySearchOptions) [][]int64
 		}
 	}
 	dfs(0, 0, false)
-	sort.SliceStable(out, func(a, b int) bool { return NonZero(out[a]) < NonZero(out[b]) })
-	return out
+
+	// One stable sort by support serves every level: filtering the sorted
+	// order keeps each level's vectors in DFS order within a support.
+	order := make([]int, len(found))
+	for k := range order {
+		order[k] = k
+	}
+	sort.SliceStable(order, func(a, b int) bool { return support[order[a]] < support[order[b]] })
+	levels := make([][][]int64, hi-lo+1)
+	for L := lo; L <= hi; L++ {
+		e := min(L, n)
+		if L > lo && e == min(L-1, n) {
+			levels[L-lo] = levels[L-lo-1]
+			continue
+		}
+		end := stop[e-loE]
+		if end < 0 {
+			end = len(found)
+		}
+		var list [][]int64
+		for _, k := range order {
+			if k < end && support[k] <= e {
+				list = append(list, found[k])
+			}
+		}
+		levels[L-lo] = list
+	}
+	return levels
 }
 
 // Basis is the constructed homogeneous move set for a problem: M is the
@@ -424,12 +504,17 @@ func BuildBasis(p *problems.Problem, opts BasisOptions) (*Basis, error) {
 		if search.MaxVectors == 0 {
 			search.MaxVectors = 2048
 		}
+		levels := ternaryLadder(p.C, 2, bound, search.NodeBudget, search.MaxVectors)
 		var bestPool [][]int64
 		bestClosure := 0
-		for sup := 2; sup <= bound; sup++ {
-			s := search
-			s.MaxSupport = sup
-			cand := collect(TernaryKernelVectors(p.C, s))
+		for k, vecs := range levels {
+			// A level that found nothing its predecessor lacks has the
+			// same closure, and only a strictly larger closure replaces
+			// the best pool.
+			if k > 0 && equalVectors(vecs, levels[k-1]) {
+				continue
+			}
+			cand := collect(vecs)
 			cl := closureSize(p, cand, basisClosureCap)
 			if cl > bestClosure {
 				bestClosure, bestPool = cl, cand
@@ -513,7 +598,7 @@ const basisClosureCap = 20000
 // closureSize runs the feasible-graph BFS closure of the pool from the
 // seed, capped at maxStates, and returns the number of reached states.
 func closureSize(p *problems.Problem, pool [][]int64, maxStates int) int {
-	return len(problems.FeasibleBFS(p, pool, maxStates))
+	return problems.FeasibleClosureSize(p, pool, maxStates)
 }
 
 // CoverageReport is the diagnostic BuildBasis users run to confirm
@@ -539,7 +624,7 @@ func VerifyCoverage(p *problems.Problem, opts BasisOptions) (CoverageReport, err
 		return CoverageReport{}, err
 	}
 	rep := CoverageReport{Total: -1}
-	rep.Reached = len(problems.FeasibleBFS(p, basis.Vectors, basisClosureCap))
+	rep.Reached = closureSize(p, basis.Vectors, basisClosureCap)
 	if p.N <= 24 {
 		rep.Total = len(problems.EnumerateFeasible(p, 0))
 		rep.Complete = rep.Reached == rep.Total
@@ -550,6 +635,7 @@ func VerifyCoverage(p *problems.Problem, opts BasisOptions) (CoverageReport, err
 // expansionReach dry-runs `rounds` rounds of the pool over the feasible
 // graph from the seed and returns how many states become reachable.
 func expansionReach(p *problems.Problem, pool [][]int64, rounds int) int {
+	moves := bitvec.NewMoves(pool)
 	reach := map[bitvec.Vec]bool{p.Init: true}
 	for r := 0; r < rounds; r++ {
 		var frontier []bitvec.Vec
@@ -557,11 +643,11 @@ func expansionReach(p *problems.Problem, pool [][]int64, rounds int) int {
 			frontier = append(frontier, x)
 		}
 		for _, x := range frontier {
-			for _, u := range pool {
-				if y, ok := x.AddSigned(u); ok && !reach[y] {
+			for k := range moves {
+				if y, ok := moves[k].Add(x); ok {
 					reach[y] = true
 				}
-				if y, ok := x.SubSigned(u); ok && !reach[y] {
+				if y, ok := moves[k].Sub(x); ok {
 					reach[y] = true
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -131,8 +132,6 @@ func ternaryKernelVectorsReference(C *linalg.IntMat, opts TernarySearchOptions) 
 	sort.SliceStable(out, func(a, b int) bool { return NonZero(out[a]) < NonZero(out[b]) })
 	return out
 }
-
-func equalVectors(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
 
 func cloneVectors(vs [][]int64) [][]int64 {
 	out := make([][]int64, len(vs))
@@ -302,5 +301,68 @@ func TestTernaryKernelVectorsMatchesReference(t *testing.T) {
 		for sup := 2; sup <= 4; sup++ {
 			check(b.Label(), C, TernarySearchOptions{MaxSupport: sup, NodeBudget: 20000, MaxVectors: 64})
 		}
+	}
+}
+
+// TestTernaryLadderMatchesPerLevelSearch compares every level of the
+// one-pass ladder with a standalone reference search at that support
+// bound, under node and vector caps small enough to stop levels midway,
+// on random matrices (bounds past n included) and on the suite's
+// constraint matrices.
+func TestTernaryLadderMatchesPerLevelSearch(t *testing.T) {
+	// check returns how many levels the caps cut short of the list the
+	// same search returns with four times the room.
+	check := func(name string, C *linalg.IntMat, lo, hi int, caps TernarySearchOptions) (cut int) {
+		t.Helper()
+		levels := ternaryLadder(C, lo, hi, caps.NodeBudget, caps.MaxVectors)
+		roomy := ternaryLadder(C, lo, hi, 4*caps.NodeBudget, 4*caps.MaxVectors)
+		if len(levels) != hi-lo+1 {
+			t.Fatalf("%s: %d levels for bounds %d..%d", name, len(levels), lo, hi)
+		}
+		for L := lo; L <= hi; L++ {
+			opts := caps
+			opts.MaxSupport = L
+			if want := ternaryKernelVectorsReference(C, opts); !equalVectors(levels[L-lo], want) {
+				t.Fatalf("%s level %d %+v:\n  got  %v\n  want %v", name, L, caps, levels[L-lo], want)
+			}
+			if len(levels[L-lo]) < len(roomy[L-lo]) {
+				cut++
+			}
+		}
+		return cut
+	}
+	rng := rand.New(rand.NewSource(24))
+	cut := 0
+	for trial := 0; trial < 400; trial++ {
+		rows, cols := 1+rng.Intn(4), 3+rng.Intn(10)
+		C := randomConstraints(rng, rows, cols)
+		for _, caps := range []TernarySearchOptions{
+			{},
+			{NodeBudget: 1 + rng.Intn(400)},
+			{MaxVectors: 1 + rng.Intn(4)},
+			{NodeBudget: 1 + rng.Intn(2000), MaxVectors: 1 + rng.Intn(8)},
+		} {
+			cut += check("random", C, 1+rng.Intn(2), cols+rng.Intn(3), caps)
+		}
+	}
+	if cut < 500 {
+		t.Fatalf("caps cut only %d random levels short; the caps no longer stop levels midway", cut)
+	}
+	cut = 0
+	for _, b := range problems.Suite() {
+		for c := 0; c <= 2; c++ {
+			C := b.Generate(c).C
+			for _, caps := range []TernarySearchOptions{
+				{NodeBudget: 300, MaxVectors: 4},
+				{NodeBudget: 2000},
+				{NodeBudget: 5000, MaxVectors: 64},
+				{NodeBudget: 20000, MaxVectors: 16},
+			} {
+				cut += check(fmt.Sprintf("%s case %d", b.Label(), c), C, 2, maxSupportDefault(C.Cols), caps)
+			}
+		}
+	}
+	if cut < 200 {
+		t.Fatalf("caps cut only %d suite levels short; the caps no longer stop levels midway", cut)
 	}
 }

@@ -13,24 +13,51 @@ import (
 	"rasengan/internal/problems"
 )
 
-var updateCompilePins = flag.Bool("update", false, "regenerate testdata/compile_pins.json from the current compile path")
+var updateCompilePins = flag.Bool("update", false, "regenerate the compile pin files in testdata/ from the current compile path")
 
 // compilePin fingerprints the one-shot compile of one instance: the
-// transition vector pool BuildBasis returns and the operator sequence
-// BuildSchedule keeps, both in order. Any drift in either — a vector
-// simplified differently, the pool reordered, an operator pruned or kept
-// — changes every solve downstream, so it fails the gate until the change
-// is acknowledged with -update.
+// Basis summary fields, the transition vector pool BuildBasis returns and
+// the operator sequence BuildSchedule keeps, both in order. Any drift — a
+// vector simplified differently, the pool reordered, an operator pruned
+// or kept — changes every solve downstream, so it fails the gate until
+// the change is acknowledged with -update.
 type compilePin struct {
-	Label      string `json:"label"`
-	Case       int    `json:"case"`
-	NumVectors int    `json:"num_vectors"`
-	NumOps     int    `json:"num_ops"`
-	BasisHash  string `json:"basis_sha256"`
-	OpsHash    string `json:"ops_sha256"`
+	Label string `json:"label"`
+	Case  int    `json:"case"`
+	// Options names the compileVariant; empty for default options.
+	Options           string `json:"options,omitempty"`
+	M                 int    `json:"m"`
+	TU                bool   `json:"tu"`
+	SimplifySaved     int    `json:"simplify_saved"`
+	UsedTernarySearch bool   `json:"used_ternary_search"`
+	NumVectors        int    `json:"num_vectors"`
+	NumOps            int    `json:"num_ops"`
+	BasisHash         string `json:"basis_sha256"`
+	OpsHash           string `json:"ops_sha256"`
 }
 
-const compilePinsPath = "testdata/compile_pins.json"
+const (
+	compilePinsPath       = "testdata/compile_pins.json"
+	compileOptionPinsPath = "testdata/compile_option_pins.json"
+)
+
+// compileVariant is a non-default option set whose compile output is
+// pinned: the ablation switches, search caps small enough to stop the
+// ternary search mid-level, and the alternative schedule constructions.
+type compileVariant struct {
+	name   string
+	family string // "": every family
+	basis  BasisOptions
+	sched  ScheduleOptions
+}
+
+var compileVariants = []compileVariant{
+	{name: "disable-simplify", basis: BasisOptions{DisableSimplify: true}},
+	{name: "search-max-vectors-16", family: "GCP", basis: BasisOptions{Search: TernarySearchOptions{MaxVectors: 16}}},
+	{name: "search-node-budget-5000", family: "GCP", basis: BasisOptions{Search: TernarySearchOptions{NodeBudget: 5000}}},
+	{name: "sparsest-first", sched: ScheduleOptions{SparsestFirst: true}},
+	{name: "disable-prune", sched: ScheduleOptions{DisablePrune: true}},
+}
 
 // hashVectors digests vectors in order as (length, entries...) records of
 // little-endian int64s.
@@ -48,29 +75,55 @@ func hashVectors(vs [][]int64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+func compileOnce(t *testing.T, b problems.Benchmark, c int, variant string, bo BasisOptions, so ScheduleOptions) compilePin {
+	t.Helper()
+	p := b.Generate(c)
+	basis, err := BuildBasis(p, bo)
+	if err != nil {
+		t.Fatalf("%s case %d %s: %v", b.Label(), c, variant, err)
+	}
+	sched := BuildSchedule(p, basis, so)
+	ops := make([][]int64, len(sched.Ops))
+	for i, tr := range sched.Ops {
+		ops[i] = tr.U
+	}
+	return compilePin{
+		Label:             b.Label(),
+		Case:              c,
+		Options:           variant,
+		M:                 basis.M,
+		TU:                basis.TU,
+		SimplifySaved:     basis.SimplifySaved,
+		UsedTernarySearch: basis.UsedTernarySearch,
+		NumVectors:        len(basis.Vectors),
+		NumOps:            len(ops),
+		BasisHash:         hashVectors(basis.Vectors),
+		OpsHash:           hashVectors(ops),
+	}
+}
+
 func computeCompilePins(t *testing.T) []compilePin {
 	t.Helper()
 	var pins []compilePin
 	for _, b := range problems.Suite() {
 		for c := 0; c <= 2; c++ {
-			p := b.Generate(c)
-			basis, err := BuildBasis(p, BasisOptions{})
-			if err != nil {
-				t.Fatalf("%s case %d: %v", b.Label(), c, err)
+			pins = append(pins, compileOnce(t, b, c, "", BasisOptions{}, ScheduleOptions{}))
+		}
+	}
+	return pins
+}
+
+func computeCompileOptionPins(t *testing.T) []compilePin {
+	t.Helper()
+	var pins []compilePin
+	for _, v := range compileVariants {
+		for _, b := range problems.Suite() {
+			if v.family != "" && b.Family != v.family {
+				continue
 			}
-			sched := BuildSchedule(p, basis, ScheduleOptions{})
-			ops := make([][]int64, len(sched.Ops))
-			for i, tr := range sched.Ops {
-				ops[i] = tr.U
+			for c := 0; c <= 2; c++ {
+				pins = append(pins, compileOnce(t, b, c, v.name, v.basis, v.sched))
 			}
-			pins = append(pins, compilePin{
-				Label:      b.Label(),
-				Case:       c,
-				NumVectors: len(basis.Vectors),
-				NumOps:     len(ops),
-				BasisHash:  hashVectors(basis.Vectors),
-				OpsHash:    hashVectors(ops),
-			})
 		}
 	}
 	return pins
@@ -80,27 +133,36 @@ func computeCompilePins(t *testing.T) []compilePin {
 // cases 0–2, against the committed pins. Run with -update only after an
 // intentional change to what the compile path produces:
 //
-//	go test ./internal/core -run TestCompileGolden -update
+//	go test ./internal/core -run 'TestCompile(Golden|OptionPins)' -update
 func TestCompileGolden(t *testing.T) {
-	got := computeCompilePins(t)
+	checkCompilePins(t, compilePinsPath, computeCompilePins(t))
+}
 
+// TestCompileOptionPins does the same for the compileVariants, which the
+// default-option pins never reach.
+func TestCompileOptionPins(t *testing.T) {
+	checkCompilePins(t, compileOptionPinsPath, computeCompileOptionPins(t))
+}
+
+func checkCompilePins(t *testing.T, path string, got []compilePin) {
+	t.Helper()
 	if *updateCompilePins {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		data = append(data, '\n')
-		if err := os.MkdirAll(filepath.Dir(compilePinsPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(compilePinsPath, data, 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d pins to %s", len(got), compilePinsPath)
+		t.Logf("wrote %d pins to %s", len(got), path)
 		return
 	}
 
-	data, err := os.ReadFile(compilePinsPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing pin file (run with -update to create): %v", err)
 	}
@@ -109,7 +171,7 @@ func TestCompileGolden(t *testing.T) {
 		t.Fatalf("corrupt pin file: %v", err)
 	}
 	if len(want) != len(got) {
-		t.Fatalf("pin file has %d instances, the suite has %d", len(want), len(got))
+		t.Fatalf("%s has %d instances, the suite has %d", path, len(want), len(got))
 	}
 	for i := range got {
 		if got[i] != want[i] {

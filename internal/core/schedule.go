@@ -101,15 +101,16 @@ func BuildSchedule(p *problems.Problem, b *Basis, opts ScheduleOptions) *Schedul
 	reach := map[bitvec.Vec]bool{p.Init: true}
 	reachPruned := map[bitvec.Vec]bool{p.Init: true}
 	consecutiveNoop := 0
+	moves := bitvec.NewMoves(pool)
 
 	if opts.SparsestFirst {
-		buildSparsestFirst(sched, p, pool, maxOps, maxStates)
+		buildSparsestFirst(sched, p, pool, moves, maxOps, maxStates)
 		return sched
 	}
 
 buildLoop:
 	for r := 0; r < rounds; r++ {
-		for _, u := range pool {
+		for k, u := range pool {
 			if len(sched.AllOps) >= maxOps {
 				break buildLoop
 			}
@@ -119,14 +120,14 @@ buildLoop:
 			}
 			tr := Transition{U: u}
 			sched.AllOps = append(sched.AllOps, tr)
-			expandInto(reach, u)
+			expandInto(reach, &moves[k])
 			sched.TraceAll = append(sched.TraceAll, len(reach))
 
 			// Pruning decision against the pruned-path reachability.
-			grew := expandCount(reachPruned, u)
+			grew := expandCount(reachPruned, &moves[k])
 			if opts.DisablePrune {
 				sched.Ops = append(sched.Ops, tr)
-				applyExpand(reachPruned, u)
+				expandInto(reachPruned, &moves[k])
 				sched.TraceOps = append(sched.TraceOps, len(reachPruned))
 				continue
 			}
@@ -141,7 +142,7 @@ buildLoop:
 			}
 			consecutiveNoop = 0
 			sched.Ops = append(sched.Ops, tr)
-			applyExpand(reachPruned, u)
+			expandInto(reachPruned, &moves[k])
 			sched.TraceOps = append(sched.TraceOps, len(reachPruned))
 		}
 	}
@@ -157,18 +158,18 @@ buildLoop:
 // the (nnz-sorted) pool from the sparsest vector and apply the first one
 // that expands the reach, then rescan from the start; stop when no vector
 // expands or a budget trips.
-func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, maxOps, maxStates int) {
+func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, moves []bitvec.Move, maxOps, maxStates int) {
 	reach := map[bitvec.Vec]bool{p.Init: true}
 	for len(sched.Ops) < maxOps && len(reach) < maxStates {
 		applied := false
-		for _, u := range pool {
-			if expandCount(reach, u) == 0 {
+		for k, u := range pool {
+			if expandCount(reach, &moves[k]) == 0 {
 				continue
 			}
 			tr := Transition{U: u}
 			sched.Ops = append(sched.Ops, tr)
 			sched.AllOps = append(sched.AllOps, tr)
-			applyExpand(reach, u)
+			expandInto(reach, &moves[k])
 			sched.TraceOps = append(sched.TraceOps, len(reach))
 			sched.TraceAll = append(sched.TraceAll, len(reach))
 			applied = true
@@ -188,13 +189,13 @@ func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, ma
 }
 
 // expandInto adds every state reachable from the set by one ±u move.
-func expandInto(reach map[bitvec.Vec]bool, u []int64) {
+func expandInto(reach map[bitvec.Vec]bool, u *bitvec.Move) {
 	var add []bitvec.Vec
 	for x := range reach {
-		if y, ok := x.AddSigned(u); ok && !reach[y] {
+		if y, ok := u.Add(x); ok && !reach[y] {
 			add = append(add, y)
 		}
-		if y, ok := x.SubSigned(u); ok && !reach[y] {
+		if y, ok := u.Sub(x); ok && !reach[y] {
 			add = append(add, y)
 		}
 	}
@@ -204,20 +205,18 @@ func expandInto(reach map[bitvec.Vec]bool, u []int64) {
 }
 
 // expandCount reports how many new states one ±u move would add.
-func expandCount(reach map[bitvec.Vec]bool, u []int64) int {
+func expandCount(reach map[bitvec.Vec]bool, u *bitvec.Move) int {
 	seen := map[bitvec.Vec]bool{}
 	for x := range reach {
-		if y, ok := x.AddSigned(u); ok && !reach[y] {
+		if y, ok := u.Add(x); ok && !reach[y] {
 			seen[y] = true
 		}
-		if y, ok := x.SubSigned(u); ok && !reach[y] {
+		if y, ok := u.Sub(x); ok && !reach[y] {
 			seen[y] = true
 		}
 	}
 	return len(seen)
 }
-
-func applyExpand(reach map[bitvec.Vec]bool, u []int64) { expandInto(reach, u) }
 
 // sortVecs sorts v into Compare order. Callers pass distinct map keys, so
 // the unstable sort has a single possible result.

@@ -17,6 +17,15 @@ import (
 // becomes zero carry kernel vectors in their bottom part. Every returned
 // vector is made primitive (divided by the GCD of its entries).
 func KernelBasisInteger(m *IntMat) [][]int64 {
+	if basis, ok := kernelBasisInteger64(m); ok {
+		return basis
+	}
+	return kernelBasisIntegerBig(m)
+}
+
+// kernelBasisIntegerBig is KernelBasisInteger over math/big.Int, the
+// overflow fallback of kernelBasisInteger64.
+func kernelBasisIntegerBig(m *IntMat) [][]int64 {
 	rows, cols := m.Rows, m.Cols
 	// Working matrix W of size (rows+cols) × cols over big.Int:
 	// top = C, bottom = I.

@@ -3,9 +3,11 @@
 // reduced-row-echelon form, rank, and nullspace (homogeneous solution)
 // bases.
 //
-// All arithmetic is exact (math/big.Rat), so the homogeneous basis vectors
-// extracted from totally unimodular constraint matrices come out with
-// entries in {-1, 0, 1} rather than floating-point approximations.
+// All arithmetic is exact, so the homogeneous basis vectors extracted from
+// totally unimodular constraint matrices come out with entries in
+// {-1, 0, 1} rather than floating-point approximations. The elimination
+// runs on overflow-checked int64 (exact64.go) and falls back to math/big
+// when a check fails.
 package linalg
 
 import (
@@ -135,7 +137,8 @@ func (m *IntMat) String() string {
 	return s
 }
 
-// ratMat is a rational working copy used during elimination.
+// ratMat is a rational working copy used by the math/big elimination, the
+// overflow fallback of rref64.
 type ratMat struct {
 	rows, cols int
 	data       []*big.Rat
@@ -197,8 +200,10 @@ func (m *ratMat) rref() []int {
 
 // Rank returns the rank of m over the rationals.
 func Rank(m *IntMat) int {
-	rm := newRatMat(m)
-	return len(rm.rref())
+	if _, pivots, ok := rref64(m); ok {
+		return len(pivots)
+	}
+	return len(newRatMat(m).rref())
 }
 
 // Nullspace returns an integer basis of the nullspace of m (solutions of
@@ -208,6 +213,14 @@ func Rank(m *IntMat) int {
 // constraint matrices — the common case for the benchmark families — the
 // resulting entries lie in {-1, 0, 1}.
 func Nullspace(m *IntMat) [][]int64 {
+	if basis, ok := nullspace64(m); ok {
+		return basis
+	}
+	return nullspaceBig(m)
+}
+
+// nullspaceBig is Nullspace over math/big.Rat.
+func nullspaceBig(m *IntMat) [][]int64 {
 	rm := newRatMat(m)
 	pivots := rm.rref()
 	isPivot := make([]bool, m.Cols)
@@ -300,17 +313,22 @@ func IsTotallyUnimodularHeuristic(m *IntMat) bool {
 			return false
 		}
 	}
+	support := make([]int, 0, m.Cols)
 	for r1 := 0; r1 < m.Rows; r1++ {
+		row1 := m.Data[r1*m.Cols : (r1+1)*m.Cols]
 		for r2 := r1 + 1; r2 < m.Rows; r2++ {
-			for c1 := 0; c1 < m.Cols; c1++ {
-				a, c := m.At(r1, c1), m.At(r2, c1)
-				if a == 0 && c == 0 {
-					continue
+			row2 := m.Data[r2*m.Cols : (r2+1)*m.Cols]
+			// A column that is zero in both rows only yields zero minors.
+			support = support[:0]
+			for c := range row1 {
+				if row1[c] != 0 || row2[c] != 0 {
+					support = append(support, c)
 				}
-				for c2 := c1 + 1; c2 < m.Cols; c2++ {
-					b, d := m.At(r1, c2), m.At(r2, c2)
-					det := a*d - b*c
-					if det < -1 || det > 1 {
+			}
+			for i, c1 := range support {
+				a, c := row1[c1], row2[c1]
+				for _, c2 := range support[i+1:] {
+					if det := a*row2[c2] - row1[c2]*c; det < -1 || det > 1 {
 						return false
 					}
 				}

@@ -83,8 +83,15 @@ func (p *Problem) Feasible(x bitvec.Vec) bool {
 	return p.C.SatisfiesEq(x.Ints(), p.B)
 }
 
-// Validate performs internal consistency checks: shape agreement and
-// feasibility of the seed solution. Generators call it before returning.
+// maxRowMagnitude bounds Σ_c |C[r][c]| + |b[r]| for every constraint row
+// r. Under it no row sum of C·x over x ∈ {0,1}^n, no partial sum of the
+// ternary kernel search and no feasibility check can overflow int64.
+const maxRowMagnitude = 1 << 62
+
+// Validate performs internal consistency checks: shape agreement, the
+// maxRowMagnitude bound on every constraint row, and feasibility of the
+// seed solution. Generators call it before returning, and FromJSON before
+// accepting an instance file.
 func (p *Problem) Validate() error {
 	if p.C.Cols != p.N {
 		return fmt.Errorf("problems: %s: C has %d cols, want %d", p.Name, p.C.Cols, p.N)
@@ -98,10 +105,35 @@ func (p *Problem) Validate() error {
 	if p.Init.Len() != p.N {
 		return fmt.Errorf("problems: %s: init has %d bits, want %d", p.Name, p.Init.Len(), p.N)
 	}
+	for r := 0; r < p.C.Rows; r++ {
+		if !rowWithinMagnitude(p.C.Data[r*p.C.Cols:(r+1)*p.C.Cols], p.B[r]) {
+			return fmt.Errorf("problems: %s: constraint row %d: sum of |coefficients| and |rhs| exceeds 2^62", p.Name, r)
+		}
+	}
 	if !p.Feasible(p.Init) {
 		return fmt.Errorf("problems: %s: initial solution infeasible", p.Name)
 	}
 	return nil
+}
+
+// rowWithinMagnitude reports whether Σ|row| + |b| ≤ maxRowMagnitude. The
+// sum runs in uint64 and stops once it passes the bound: each term is at
+// most 2^63, so no partial sum can wrap.
+func rowWithinMagnitude(row []int64, b int64) bool {
+	abs := func(x int64) uint64 {
+		if x < 0 {
+			return uint64(-x) // MinInt64 gives 2^63, its magnitude
+		}
+		return uint64(x)
+	}
+	s := abs(b)
+	for _, c := range row {
+		if s > maxRowMagnitude {
+			return false
+		}
+		s += abs(c)
+	}
+	return s <= maxRowMagnitude
 }
 
 // HomogeneousBasis returns an integer basis of the nullspace of C — the

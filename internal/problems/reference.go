@@ -139,19 +139,30 @@ func referenceFrom(p *Problem, feas []bitvec.Vec) Reference {
 // scales with the number of feasible solutions, not 2^n). maxStates > 0
 // caps the search.
 func FeasibleBFS(p *Problem, basis [][]int64, maxStates int) []bitvec.Vec {
+	return sortedKeys(feasibleClosure(p, basis, maxStates))
+}
+
+// FeasibleClosureSize returns len(FeasibleBFS(p, basis, maxStates))
+// without sorting the states it counts.
+func FeasibleClosureSize(p *Problem, basis [][]int64, maxStates int) int {
+	return len(feasibleClosure(p, basis, maxStates))
+}
+
+func feasibleClosure(p *Problem, basis [][]int64, maxStates int) map[bitvec.Vec]bool {
+	moves := bitvec.NewMoves(basis)
 	seen := map[bitvec.Vec]bool{p.Init: true}
 	queue := []bitvec.Vec{p.Init}
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
-		for _, u := range basis {
-			for _, dir := range []int{1, -1} {
+		for k := range moves {
+			for _, add := range [...]bool{true, false} {
 				var y bitvec.Vec
 				var ok bool
-				if dir == 1 {
-					y, ok = x.AddSigned(u)
+				if add {
+					y, ok = moves[k].Add(x)
 				} else {
-					y, ok = x.SubSigned(u)
+					y, ok = moves[k].Sub(x)
 				}
 				if !ok || seen[y] {
 					continue
@@ -159,12 +170,12 @@ func FeasibleBFS(p *Problem, basis [][]int64, maxStates int) []bitvec.Vec {
 				seen[y] = true
 				queue = append(queue, y)
 				if maxStates > 0 && len(seen) >= maxStates {
-					return sortedKeys(seen)
+					return seen
 				}
 			}
 		}
 	}
-	return sortedKeys(seen)
+	return seen
 }
 
 func sortedKeys(m map[bitvec.Vec]bool) []bitvec.Vec {

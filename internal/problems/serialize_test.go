@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -72,5 +73,41 @@ func TestProblemJSONMaximizeSense(t *testing.T) {
 	}
 	if back.Sense != Maximize {
 		t.Error("maximize sense lost")
+	}
+}
+
+// TestFromJSONRejectsOverflowingRows pins the row-magnitude bound: a row
+// whose exact sum wraps int64 (here 2^62 + 2^62 = 2^63, read as −2^63 by
+// unchecked arithmetic, "satisfying" the rhs) is refused with the row
+// named, and the bound itself is inclusive.
+func TestFromJSONRejectsOverflowingRows(t *testing.T) {
+	for _, tc := range []struct {
+		rows, rhs string
+		init      string
+		wantRow   int // -1: accepted
+	}{
+		{`[[4611686018427387904,4611686018427387904]]`, `[-9223372036854775808]`, "11", 0},
+		{`[[1,-1],[2305843009213693952,2305843009213693953]]`, `[0,0]`, "00", 1},
+		{`[[1,1]]`, `[-9223372036854775808]`, "11", 0},
+		{`[[0,-9223372036854775808]]`, `[0]`, "00", 0},
+		{`[[2305843009213693952,2305843009213693952]]`, `[0]`, "00", -1},
+		{`[[2305843009213693952,2305843009213693951]]`, `[2]`, "00", 0},
+	} {
+		src := `{"version":1,"name":"wrap","num_vars":2,"objective_linear":[1,1],` +
+			`"constraint_rows":` + tc.rows + `,"constraint_rhs":` + tc.rhs + `,"initial_solution":"` + tc.init + `"}`
+		p, err := FromJSON([]byte(src))
+		if tc.wantRow < 0 {
+			if err != nil {
+				t.Errorf("%s: rejected at the bound: %v", tc.rows, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s = %s accepted (Feasible(%s) = %v)", tc.rows, tc.rhs, tc.init, p.Feasible(p.Init))
+			continue
+		}
+		if want := fmt.Sprintf("constraint row %d:", tc.wantRow); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", tc.rows, err, want)
+		}
 	}
 }

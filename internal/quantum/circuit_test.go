@@ -72,6 +72,24 @@ func TestGateValidate(t *testing.T) {
 	if err := (Gate{Kind: GateMCP, Qubits: []int{0, 3, 5}}).Validate(); err != nil {
 		t.Errorf("valid MCP rejected: %v", err)
 	}
+	// The first offending qubit in order names the error.
+	for _, tc := range []struct {
+		qubits []int
+		want   string
+	}{
+		{[]int{4, 2, 7, 2, -1}, "quantum: mcp repeats qubit 2"},
+		{[]int{4, -3, 4}, "quantum: mcp has negative qubit -3"},
+		{[]int{5, 6, 5, 6}, "quantum: mcp repeats qubit 5"},
+	} {
+		err := (Gate{Kind: GateMCP, Qubits: tc.qubits}).Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Validate(mcp %v) = %v; want %q", tc.qubits, err, tc.want)
+		}
+	}
+	g := Gate{Kind: GateMCP, Qubits: []int{0, 3, 5, 9, 12, 14}}
+	if allocs := testing.AllocsPerRun(100, func() { _ = g.Validate() }); allocs != 0 {
+		t.Errorf("Validate of a valid gate allocates %v times; want 0", allocs)
+	}
 }
 
 func TestExtendAndClone(t *testing.T) {

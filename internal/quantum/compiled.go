@@ -90,7 +90,7 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 	// Dedupe operators by content: schedules cycle a small pool of distinct
 	// vectors, so partner tables are per distinct vector, not per op.
 	opRow := make([]int32, len(ops))
-	var distinct [][]int64
+	var distinct []bitvec.Move
 	rowByKey := make(map[string]int32)
 	key := make([]byte, n)
 	for i, u := range ops {
@@ -112,7 +112,7 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 		if !seen {
 			r = int32(len(distinct))
 			rowByKey[k] = r
-			distinct = append(distinct, u)
+			distinct = append(distinct, bitvec.NewMove(u))
 		}
 		opRow[i] = r
 	}
@@ -126,14 +126,14 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 	for len(frontier) > 0 {
 		var next []bitvec.Vec
 		for _, x := range frontier {
-			for _, u := range distinct {
-				if y, ok := x.AddSigned(u); ok {
+			for r := range distinct {
+				if y, ok := distinct[r].Add(x); ok {
 					if _, seen := reach[y]; !seen {
 						reach[y] = struct{}{}
 						next = append(next, y)
 					}
 				}
-				if y, ok := x.SubSigned(u); ok {
+				if y, ok := distinct[r].Sub(x); ok {
 					if _, seen := reach[y]; !seen {
 						reach[y] = struct{}{}
 						next = append(next, y)
@@ -168,17 +168,18 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 	}
 
 	cs.partners = make([][]int32, len(distinct))
-	for r, u := range distinct {
+	for r := range distinct {
+		u := &distinct[r]
 		row := make([]int32, len(cs.states))
 		for i, x := range cs.states {
-			if y, ok := x.AddSigned(u); ok {
+			if y, ok := u.Add(x); ok {
 				j, in := cs.index[y]
 				if !in {
 					return nil, false // closure violated; unreachable by construction
 				}
 				row[i] = j + 1
 				cs.pairs++
-			} else if y, ok := x.SubSigned(u); ok {
+			} else if y, ok := u.Sub(x); ok {
 				j, in := cs.index[y]
 				if !in {
 					return nil, false

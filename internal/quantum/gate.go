@@ -98,15 +98,17 @@ func (g Gate) Validate() error {
 	if want != -1 && len(g.Qubits) != want {
 		return fmt.Errorf("quantum: %v needs %d qubits, got %d", g.Kind, want, len(g.Qubits))
 	}
-	seen := map[int]bool{}
-	for _, q := range g.Qubits {
+	// Gates touch a handful of qubits, so a scan of the earlier ones finds
+	// a repeat without allocating.
+	for i, q := range g.Qubits {
 		if q < 0 {
 			return fmt.Errorf("quantum: %v has negative qubit %d", g.Kind, q)
 		}
-		if seen[q] {
-			return fmt.Errorf("quantum: %v repeats qubit %d", g.Kind, q)
+		for _, p := range g.Qubits[:i] {
+			if p == q {
+				return fmt.Errorf("quantum: %v repeats qubit %d", g.Kind, q)
+			}
 		}
-		seen[q] = true
 	}
 	return nil
 }

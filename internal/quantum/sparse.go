@@ -172,7 +172,7 @@ func (s *Sparse) ApplyTransition(u []int64, t float64) {
 	ct := complex(math.Cos(t), 0)
 	st := complex(0, math.Sin(t))
 	// Pairs under a fixed u are disjoint: a state with 0s at every +1
-	// position cannot also have 1s there, so AddSigned and SubSigned can
+	// position cannot also have 1s there, so Move.Add and Move.Sub can
 	// never both succeed. Each pair is processed once, from its lower
 	// member when that member has stored amplitude and from the upper
 	// member otherwise — no visited-set allocation needed. Amplitudes are
@@ -182,12 +182,13 @@ func (s *Sparse) ApplyTransition(u []int64, t float64) {
 	for k := range s.amps {
 		s.scratch = append(s.scratch, k)
 	}
+	m := bitvec.NewMove(u)
 	for _, x := range s.scratch {
-		if y, ok := x.AddSigned(u); ok {
+		if y, ok := m.Add(x); ok {
 			a, b := s.amps[x], s.amps[y]
 			s.amps[x] = ct*a - st*b
 			s.amps[y] = ct*b - st*a
-		} else if y, ok := x.SubSigned(u); ok {
+		} else if y, ok := m.Sub(x); ok {
 			if _, seen := s.amps[y]; !seen {
 				b := s.amps[x]
 				s.amps[y] = -st * b

@@ -339,6 +339,20 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestInlineSpecWithOverflowingRowRejected sends an inline problem whose
+// only row sums to 2^63 (wrapping to the rhs −2^63 in unchecked int64
+// arithmetic): it gets the 422 of every unbuildable spec, naming the row.
+func TestInlineSpecWithOverflowingRowRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Solve: stubSolve(nil)})
+	body := `{"spec":{"problem":{"version":1,"name":"wrap","num_vars":2,"objective_linear":[1,1],` +
+		`"constraint_rows":[[4611686018427387904,4611686018427387904]],"constraint_rhs":[-9223372036854775808],` +
+		`"initial_solution":"11"}}}`
+	code, _, raw := postSolve(t, ts, body)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(raw), "constraint row 0") {
+		t.Errorf("overflowing row: code %d body %s, want 422 naming constraint row 0", code, raw)
+	}
+}
+
 func TestMaxVarsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Solve: stubSolve(nil), MaxVars: 5})
 	code, _, raw := postSolve(t, ts, `{"spec":{"family":"FLP","scale":1,"case":0}}`)
