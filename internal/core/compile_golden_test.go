@@ -6,10 +6,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"rasengan/internal/device"
 	"rasengan/internal/problems"
 )
 
@@ -17,10 +19,13 @@ var updateCompilePins = flag.Bool("update", false, "regenerate the compile pin f
 
 // compilePin fingerprints the one-shot compile of one instance: the
 // Basis summary fields, the transition vector pool BuildBasis returns and
-// the operator sequence BuildSchedule keeps, both in order. Any drift — a
-// vector simplified differently, the pool reordered, an operator pruned
-// or kept — changes every solve downstream, so it fails the gate until
-// the change is acknowledged with -update.
+// the operator sequence BuildSchedule keeps, both in order, the rest of
+// the Schedule's dry-run bookkeeping, and what NewExecutor derives from
+// the operators (segmentation, modeled shot times, per-operator gate
+// costs). Any drift — a vector simplified differently, the pool
+// reordered, an operator pruned or kept, a segment cut elsewhere —
+// changes every solve downstream, so it fails the gate until the change
+// is acknowledged with -update.
 type compilePin struct {
 	Label string `json:"label"`
 	Case  int    `json:"case"`
@@ -34,6 +39,21 @@ type compilePin struct {
 	NumOps            int    `json:"num_ops"`
 	BasisHash         string `json:"basis_sha256"`
 	OpsHash           string `json:"ops_sha256"`
+	// The rest of the Schedule.
+	TraceAllHash      string `json:"trace_all_sha256"`
+	TraceOpsHash      string `json:"trace_ops_sha256"`
+	NumReachable      int    `json:"num_reachable"`
+	ReachableHash     string `json:"reachable_sha256"`
+	PrunedCount       int    `json:"pruned_count"`
+	EarlyStopped      bool   `json:"early_stopped"`
+	TruncatedCoverage bool   `json:"truncated_coverage"`
+	// The executor build: segment count and TotalCX, then digests of
+	// (depth, shot-time bits) per segment and of (oneQ, twoQ, cx, depth,
+	// duration bits) per distinct operator in first-occurrence order.
+	NumSegments  int    `json:"num_segments"`
+	TotalCX      int    `json:"total_cx"`
+	SegmentsHash string `json:"segments_sha256"`
+	OpCostsHash  string `json:"op_costs_sha256"`
 }
 
 const (
@@ -43,12 +63,15 @@ const (
 
 // compileVariant is a non-default option set whose compile output is
 // pinned: the ablation switches, search caps small enough to stop the
-// ternary search mid-level, and the alternative schedule constructions.
+// ternary search mid-level, the alternative schedule constructions, a
+// fixed segment length, and a device's gate timings (which also derive
+// the depth budget from its T2).
 type compileVariant struct {
 	name   string
 	family string // "": every family
 	basis  BasisOptions
 	sched  ScheduleOptions
+	exec   ExecOptions
 }
 
 var compileVariants = []compileVariant{
@@ -57,6 +80,8 @@ var compileVariants = []compileVariant{
 	{name: "search-node-budget-5000", family: "GCP", basis: BasisOptions{Search: TernarySearchOptions{NodeBudget: 5000}}},
 	{name: "sparsest-first", sched: ScheduleOptions{SparsestFirst: true}},
 	{name: "disable-prune", sched: ScheduleOptions{DisablePrune: true}},
+	{name: "ops-per-segment-3", exec: ExecOptions{OpsPerSegment: 3}},
+	{name: "device-kyiv", exec: ExecOptions{Device: device.Kyiv()}},
 }
 
 // hashVectors digests vectors in order as (length, entries...) records of
@@ -75,22 +100,62 @@ func hashVectors(vs [][]int64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func compileOnce(t *testing.T, b problems.Benchmark, c int, variant string, bo BasisOptions, so ScheduleOptions) compilePin {
+// hashWords digests words in order as little-endian uint64s.
+func hashWords(ws []uint64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, w := range ws {
+		binary.LittleEndian.PutUint64(buf[:], w)
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func hashInts(xs []int) string {
+	ws := make([]uint64, len(xs))
+	for i, x := range xs {
+		ws[i] = uint64(x)
+	}
+	return hashWords(ws)
+}
+
+func compileOnce(t *testing.T, b problems.Benchmark, c int, v compileVariant) compilePin {
 	t.Helper()
 	p := b.Generate(c)
-	basis, err := BuildBasis(p, bo)
+	basis, err := BuildBasis(p, v.basis)
 	if err != nil {
-		t.Fatalf("%s case %d %s: %v", b.Label(), c, variant, err)
+		t.Fatalf("%s case %d %s: %v", b.Label(), c, v.name, err)
 	}
-	sched := BuildSchedule(p, basis, so)
+	sched := BuildSchedule(p, basis, v.sched)
 	ops := make([][]int64, len(sched.Ops))
 	for i, tr := range sched.Ops {
 		ops[i] = tr.U
 	}
+	reach := sha256.New()
+	for _, x := range sched.Reachable {
+		reach.Write([]byte(x.String()))
+		reach.Write([]byte{'\n'})
+	}
+	ex, err := NewExecutor(p, sched.Ops, v.exec)
+	if err != nil {
+		t.Fatalf("%s case %d %s: %v", b.Label(), c, v.name, err)
+	}
+	var segs, costs []uint64
+	for i := range ex.segments {
+		segs = append(segs, uint64(ex.SegmentDepths[i]), math.Float64bits(ex.shotNS[i]))
+	}
+	seen := map[string]bool{}
+	for i, tr := range sched.Ops {
+		if k := vecKey(tr.U); !seen[k] {
+			seen[k] = true
+			s := ex.stats[i]
+			costs = append(costs, uint64(s.oneQ), uint64(s.twoQ), uint64(s.cx), uint64(s.depth), math.Float64bits(s.durationNS))
+		}
+	}
 	return compilePin{
 		Label:             b.Label(),
 		Case:              c,
-		Options:           variant,
+		Options:           v.name,
 		M:                 basis.M,
 		TU:                basis.TU,
 		SimplifySaved:     basis.SimplifySaved,
@@ -99,6 +164,17 @@ func compileOnce(t *testing.T, b problems.Benchmark, c int, variant string, bo B
 		NumOps:            len(ops),
 		BasisHash:         hashVectors(basis.Vectors),
 		OpsHash:           hashVectors(ops),
+		TraceAllHash:      hashInts(sched.TraceAll),
+		TraceOpsHash:      hashInts(sched.TraceOps),
+		NumReachable:      len(sched.Reachable),
+		ReachableHash:     hex.EncodeToString(reach.Sum(nil)),
+		PrunedCount:       sched.PrunedCount,
+		EarlyStopped:      sched.EarlyStopped,
+		TruncatedCoverage: sched.TruncatedCoverage,
+		NumSegments:       ex.NumSegments(),
+		TotalCX:           ex.TotalCX,
+		SegmentsHash:      hashWords(segs),
+		OpCostsHash:       hashWords(costs),
 	}
 }
 
@@ -107,7 +183,7 @@ func computeCompilePins(t *testing.T) []compilePin {
 	var pins []compilePin
 	for _, b := range problems.Suite() {
 		for c := 0; c <= 2; c++ {
-			pins = append(pins, compileOnce(t, b, c, "", BasisOptions{}, ScheduleOptions{}))
+			pins = append(pins, compileOnce(t, b, c, compileVariant{}))
 		}
 	}
 	return pins
@@ -122,7 +198,7 @@ func computeCompileOptionPins(t *testing.T) []compilePin {
 				continue
 			}
 			for c := 0; c <= 2; c++ {
-				pins = append(pins, compileOnce(t, b, c, v.name, v.basis, v.sched))
+				pins = append(pins, compileOnce(t, b, c, v))
 			}
 		}
 	}

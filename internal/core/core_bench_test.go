@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -62,6 +63,8 @@ func BenchmarkExecutorExactRun(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// Moving the first time makes every segment recompute.
+		times[0] = 0.6 + 0.01*float64(i%2)
 		if _, err := exec.Run(times, rng); err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +92,8 @@ func BenchmarkOperatorCircuitEmission(b *testing.B) {
 }
 
 // benchOptimizerIter measures one optimizer objective evaluation — a full
-// RunEnergy over the instance's schedule at fixed times — under the given
+// RunEnergy over the instance's schedule, each call moving the first time
+// so that every segment recomputes — under the given
 // engine. This is the loop body the compiled engine exists to accelerate;
 // BENCH_PR6.json records map-vs-compiled ratios on the medium cells below.
 func benchOptimizerIter(b *testing.B, p *problems.Problem, engine string) {
@@ -113,6 +117,7 @@ func benchOptimizerIter(b *testing.B, p *problems.Problem, engine string) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		times[0] = 0.55 + 0.01*float64(i%2)
 		if _, err := exec.RunEnergyCtx(ctx, times, rng); err != nil {
 			b.Fatal(err)
 		}
@@ -142,6 +147,43 @@ func BenchmarkOptimizerIterMapKPP3(b *testing.B) {
 func BenchmarkOptimizerIterCompiledKPP3(b *testing.B) {
 	benchOptimizerIter(b, problems.KPP(3, 0), EngineCompiled)
 }
+
+// benchCoordinateSweep measures exact evaluations in COBYLA's simplex
+// pattern: a base point, then the base with one time moved per call, in
+// order, so each call differs from the one before at two positions and
+// restarts at the segment of the first.
+func benchCoordinateSweep(b *testing.B, p *problems.Problem) {
+	basis, err := BuildBasis(p, BasisOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	exec, err := NewExecutor(p, BuildSchedule(p, basis, ScheduleOptions{}).Ops, ExecOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := exec.NumParams()
+	base := make([]float64, n)
+	for i := range base {
+		base[i] = math.Pi / 4
+	}
+	times := make([]float64, n)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(times, base)
+		if k := i % (n + 1); k > 0 {
+			times[k-1] += math.Pi / 8
+		}
+		if _, err := exec.RunEnergyCtx(ctx, times, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCoordinateSweepF4(b *testing.B) { benchCoordinateSweep(b, problems.FLP(4, 0)) }
+
+func BenchmarkCoordinateSweepS4(b *testing.B) { benchCoordinateSweep(b, problems.SCP(4, 0)) }
 
 // benchCompile measures the one-shot compile of one solve — BuildBasis,
 // BuildSchedule and NewExecutor with default options — which the solver

@@ -47,22 +47,48 @@ type compiledPlan struct {
 	// allFeasible records that every state of the closure is feasible, so
 	// purification would zero nothing and is skipped.
 	allFeasible bool
+	// stride is the spacing of the segment boundaries each clone keeps
+	// (see compiledRT): 1 when every boundary fits the snapshot bound, and
+	// one past the last boundary on the sampled path, which keeps only the
+	// seed distribution.
+	stride int
+}
+
+// snapshotFloats bounds the boundary snapshots one clone keeps on the
+// exact path: 2^20 floats, 8 MiB.
+const snapshotFloats = 1 << 20
+
+// snapshotStride returns the spacing of kept boundaries for a schedule of
+// segs segments over states states: 1 while all segs+1 boundaries fit
+// snapshotFloats, else the smallest spacing that brings them under it.
+func snapshotStride(segs, states int) int {
+	return ((segs+1)*states + snapshotFloats - 1) / snapshotFloats
 }
 
 // compiledRT holds one clone's mutable flat buffers, allocated lazily on
-// first run so Clone stays cheap. distIn/distOut ping-pong across segments;
-// lastDist snapshots the final distribution of the latest successful
-// RunEnergyCtx for LastDistribution; cos/sin hold every operator's cos t and
-// sin t for the current evaluation, computed once per evaluation rather than
-// once per input state.
+// first run so Clone stays cheap.
+//
+// Boundary b is the distribution entering segment b (boundary 0 is the
+// seed, the last is the run's output); bounds[b] is its buffer. Every
+// stride-th boundary has a slot of its own, and the others alternate
+// between two scratch buffers. On the exact path the kept boundaries
+// persist across runs: times holds the evolution times of the latest run
+// and valid the last boundary that run completed, so the next run can
+// restart at the last kept boundary before its first changed time.
+// cos/sin hold every operator's cos t and sin t for times, so a run
+// recomputes them only for the times it changes. lastDist
+// snapshots the final distribution of the latest successful RunEnergyCtx
+// for LastDistribution.
 type compiledRT struct {
 	st            *quantum.CompiledState
-	distIn        []float64
-	distOut       []float64
+	bounds        [][]float64
 	counts        []int
 	lastDist      []float64
 	lastDistValid bool
+	times         []float64
 	cos, sin      []float64
+	primed        bool // times/cos/sin hold a run's values
+	valid         int
 }
 
 // compileEngine attempts to select the compiled engine for this executor,
@@ -93,6 +119,10 @@ func (e *Executor) compileEngine() {
 		energy:      make([]float64, space.Size()),
 		initIdx:     initIdx,
 		allFeasible: true,
+		stride:      len(e.segments) + 1,
+	}
+	if e.exact() {
+		plan.stride = snapshotStride(len(e.segments), space.Size())
 	}
 	for i := 0; i < space.Size(); i++ {
 		x := space.StateAt(int32(i))
@@ -108,27 +138,52 @@ func (e *Executor) compileEngine() {
 func (e *Executor) rt() *compiledRT {
 	if e.crt == nil {
 		n := e.plan.space.Size()
-		e.crt = &compiledRT{
+		stride := e.plan.stride
+		slots := len(e.segments)/stride + 1
+		flat := make([]float64, (slots+2)*n) // the kept slots, then two scratch
+		rt := &compiledRT{
 			st:       e.plan.space.NewState(),
-			distIn:   make([]float64, n),
-			distOut:  make([]float64, n),
+			bounds:   make([][]float64, len(e.segments)+1),
 			counts:   make([]int, n),
 			lastDist: make([]float64, n),
+			times:    make([]float64, len(e.ops)),
 			cos:      make([]float64, len(e.ops)),
 			sin:      make([]float64, len(e.ops)),
 		}
-		e.crt.st.SetWorkerLimit(e.workerLimit)
+		for b := range rt.bounds {
+			i := b / stride
+			if b%stride != 0 {
+				i = slots + b%2
+			}
+			rt.bounds[b] = flat[i*n : (i+1)*n : (i+1)*n]
+		}
+		// No segment writes boundary 0, so the seed is set once.
+		rt.bounds[0][e.plan.initIdx] = 1
+		rt.st.SetWorkerLimit(e.workerLimit)
+		e.crt = rt
 	}
 	return e.crt
 }
 
+// exact reports whether runs propagate exact probabilities.
+func (e *Executor) exact() bool { return e.opts.Shots <= 0 && e.opts.Device == nil }
+
 // runCompiled is the compiled-engine counterpart of the map engine's
 // segment loop (runMap), propagating the inter-segment distribution as a
 // flat []float64 over the compiled subspace. The returned slice aliases the
-// clone's ping-pong buffer: callers consume it before the next run. Every
-// float matches the map engine bit for bit — merges, purification, and
+// clone's buffers: callers consume it before the next run. Every float
+// matches the map engine bit for bit — merges, purification, and
 // normalization all accumulate in ascending state order, which is exactly
 // the map path's sorted-key order.
+//
+// An exact run recomputes only what its times change. Segments before the
+// first segment holding the first operator whose time differs bitwise from
+// the previous run's produce the same boundaries as before, so the run
+// restarts at the last kept boundary at or before that segment, and no
+// later than the last boundary the previous run completed. The skipped
+// segments still charge their accounting in order, so LastQuantumNS sums
+// the same floats in the same order as a full run. cos/sin are recomputed
+// only for the operators whose time changed.
 func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand) ([]float64, error) {
 	e.LastShotsUsed = 0
 	e.LastFeasibleShots = 0
@@ -140,18 +195,43 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 	defer e.lap(&e.clk.segment)
 
 	rt := e.rt()
+	first := len(t) // the first operator whose time changed
 	for i, ti := range t {
+		if rt.primed && math.Float64bits(ti) == math.Float64bits(rt.times[i]) {
+			continue
+		}
+		first = min(first, i)
+		rt.times[i] = ti
 		rt.cos[i] = math.Cos(ti)
 		rt.sin[i] = math.Sin(ti)
 	}
-	in, out := rt.distIn, rt.distOut
-	clear(in)
-	in[e.plan.initIdx] = 1
-	exact := e.opts.Shots <= 0 && e.opts.Device == nil
+	rt.primed = true
+	exact := e.exact()
+	restart := 0
+	if exact {
+		// Segments hold consecutive operators, so the first segment ending
+		// at or after the first changed operator is the first one it moves.
+		restart = len(e.segments)
+		for j, seg := range e.segments {
+			if seg[len(seg)-1] >= first {
+				restart = j
+				break
+			}
+		}
+		restart = min(restart, rt.valid)
+		restart -= restart % e.plan.stride
+	}
+	rt.valid = restart
 	for segIdx, seg := range e.segments {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		if segIdx < restart {
+			e.chargeExactSegment(segIdx)
+			e.LastSegmentsRun++
+			continue
+		}
+		in, out := rt.bounds[segIdx], rt.bounds[segIdx+1]
 		var err error
 		if exact {
 			err = e.runCompiledSegmentExact(ctx, segIdx, seg, in, out)
@@ -175,9 +255,22 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 			e.LastTerminatedEarly = true
 			return nil, fmt.Errorf("core: %s: no feasible state survived segment %d", e.p.Name, e.LastSegmentsRun)
 		}
-		in, out = out, in
+		rt.valid = segIdx + 1
 	}
-	return in, nil
+	return rt.bounds[len(e.segments)], nil
+}
+
+// chargeExactSegment adds one exact segment's modeled hardware time and
+// shots to the run accounting: the time it would take at the default shot
+// budget, so latency accounting stays comparable across exact and sampled
+// runs.
+func (e *Executor) chargeExactSegment(segIdx int) {
+	modelShots := e.opts.Shots
+	if modelShots <= 0 {
+		modelShots = 1024
+	}
+	e.LastQuantumNS += float64(modelShots) * e.shotNS[segIdx]
+	e.LastShotsUsed += modelShots
 }
 
 // runCompiledSegmentExact mirrors runSegmentExact over flat arrays. A
@@ -188,13 +281,7 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 // slot takes at most one term per input state and input states run in
 // ascending order, so the merge needs no sorted support.
 func (e *Executor) runCompiledSegmentExact(ctx context.Context, segIdx int, seg []int, in, out []float64) error {
-	modelShots := e.opts.Shots
-	if modelShots <= 0 {
-		modelShots = 1024
-	}
-	e.LastQuantumNS += float64(modelShots) * e.shotNS[segIdx]
-	e.LastShotsUsed += modelShots
-
+	e.chargeExactSegment(segIdx)
 	clear(out)
 	rt := e.crt
 	if len(seg) == 1 {

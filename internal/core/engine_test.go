@@ -235,7 +235,9 @@ func TestRunEnergyMatchesDistribution(t *testing.T) {
 
 // TestRunEnergyZeroAllocs: a steady-state compiled evaluation allocates
 // nothing, whether its segments are one-operator sweeps (FLP-3) or include a
-// five-operator segment (SCP-4).
+// five-operator segment (SCP-4), and whether it moves the first time, so
+// every segment recomputes, or only the last, so the evaluation restarts
+// from the kept boundary before it.
 func TestRunEnergyZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		p      *problems.Problem
@@ -263,14 +265,19 @@ func TestRunEnergyZeroAllocs(t *testing.T) {
 			times[i] = 0.55 + 0.07*float64(i%4)
 		}
 		ctx := context.Background()
-		eval := func() {
-			if _, err := ex.RunEnergyCtx(ctx, times, nil); err != nil {
-				t.Fatal(err)
+		for _, k := range []int{0, len(times) - 1} {
+			step := 0.1
+			eval := func() {
+				times[k] += step
+				step = -step
+				if _, err := ex.RunEnergyCtx(ctx, times, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		eval() // warm-up: the clone's buffers are allocated on first use
-		if allocs := testing.AllocsPerRun(20, eval); allocs != 0 {
-			t.Errorf("%s: RunEnergyCtx allocates %v times per run; want 0", tc.p.Name, allocs)
+			eval() // warm-up: the clone's buffers are allocated on first use
+			if allocs := testing.AllocsPerRun(20, eval); allocs != 0 {
+				t.Errorf("%s: RunEnergyCtx moving time %d allocates %v times per run; want 0", tc.p.Name, k, allocs)
+			}
 		}
 	}
 }

@@ -94,15 +94,17 @@ func (o ExecOptions) shotsForSegment(segIdx int) int {
 	}
 	if o.ShotGrowth > 1 {
 		// Closed form instead of an O(segIdx) multiply loop: this runs once
-		// per (segment, run) on the sampled hot path.
-		f := math.Pow(o.ShotGrowth, float64(segIdx))
-		shots = int(float64(shots) * f)
+		// per (segment, run) on the sampled hot path. The cap is applied in
+		// float: past 2^63 the int conversion would wrap negative.
+		f := float64(shots) * math.Pow(o.ShotGrowth, float64(segIdx))
 		cap := o.MaxShotsPerSegment
 		if cap <= 0 {
 			cap = 65536
 		}
-		if shots > cap {
+		if f > float64(cap) {
 			shots = cap
+		} else {
+			shots = int(f)
 		}
 	}
 	return shots
@@ -115,6 +117,15 @@ type opStats struct {
 	cx         int
 	depth      int
 	durationNS float64
+}
+
+// priceOperator measures tr's decomposed circuit on meter, which must be
+// sized for len(tr.U) qubits. Every two-qubit native gate is a CX.
+func priceOperator(tr Transition, meter *transpile.CostMeter) opStats {
+	meter.Reset()
+	tr.emitOperator(meter, 0.5)
+	c := meter.Cost()
+	return opStats{oneQ: c.OneQ, twoQ: c.CX, cx: c.CX, depth: c.Depth, durationNS: c.DurationNS}
 }
 
 // Executor runs a fixed schedule with variable evolution times. It is
@@ -247,12 +258,14 @@ func NewExecutor(p *problems.Problem, ops []Transition, opts ExecOptions) (*Exec
 	}
 	e := &Executor{p: p, ops: ops, opts: opts, EngineUsed: EngineMap}
 
-	// Compile each distinct operator once (structure is t-independent).
+	// Price each distinct operator once (structure is t-independent): the
+	// meter measures its decomposition without building a circuit.
 	e.stats = make([]opStats, len(ops))
 	durations := transpile.DefaultDurations()
 	if opts.Device != nil {
 		durations = opts.Device.Durations
 	}
+	meter := transpile.NewCostMeter(p.N, durations)
 	first := make(map[string]int, len(ops)) // vector → index of its first op
 	for i, tr := range ops {
 		k := vecKey(tr.U)
@@ -260,14 +273,7 @@ func NewExecutor(p *problems.Problem, ops []Transition, opts ExecOptions) (*Exec
 			e.stats[i] = e.stats[j]
 		} else {
 			first[k] = i
-			dec := transpile.Decompose(tr.OperatorCircuit(p.N, 0.5))
-			e.stats[i] = opStats{
-				oneQ:       len(dec.Gates) - dec.CountTwoQubit(),
-				twoQ:       dec.CountTwoQubit(),
-				cx:         dec.CountKind(quantum.GateCX),
-				depth:      dec.Depth(),
-				durationNS: transpile.CircuitDurationNS(dec, durations),
-			}
+			e.stats[i] = priceOperator(tr, meter)
 		}
 		e.TotalCX += e.stats[i].cx
 	}
@@ -418,7 +424,7 @@ func (e *Executor) runMap(ctx context.Context, t []float64, rng *rand.Rand) (map
 		}
 		var next map[bitvec.Vec]float64
 		var err error
-		if e.opts.Shots <= 0 && e.opts.Device == nil {
+		if e.exact() {
 			next, err = e.runSegmentExact(ctx, segIdx, seg, t, dist)
 		} else {
 			next, err = e.runSegmentSampled(ctx, segIdx, seg, t, dist, rng)
@@ -443,16 +449,7 @@ func (e *Executor) runMap(ctx context.Context, t []float64, rng *rand.Rand) (map
 // outcome distribution is mixed in with the incoming weight. This is the
 // Shots → ∞ limit of the sampled path.
 func (e *Executor) runSegmentExact(ctx context.Context, segIdx int, seg []int, t []float64, in map[bitvec.Vec]float64) (map[bitvec.Vec]float64, error) {
-	// Model the hardware time this segment would take at the default shot
-	// budget, so latency accounting stays comparable across exact and
-	// sampled runs.
-	modelShots := e.opts.Shots
-	if modelShots <= 0 {
-		modelShots = 1024
-	}
-	e.LastQuantumNS += float64(modelShots) * e.shotNS[segIdx]
-	e.LastShotsUsed += modelShots
-
+	e.chargeExactSegment(segIdx)
 	out := map[bitvec.Vec]float64{}
 	for _, x := range sortedDistKeys(in) {
 		if err := ctx.Err(); err != nil {

@@ -197,6 +197,24 @@ func TestShotGrowthSchedule(t *testing.T) {
 	}
 }
 
+// TestShotGrowthSaturatesAtCap: once Shots·ShotGrowth^i passes 2^63 the
+// budget must stay at its cap instead of wrapping through the int
+// conversion; an infinite product caps too.
+func TestShotGrowthSaturatesAtCap(t *testing.T) {
+	o := ExecOptions{Shots: 1024, ShotGrowth: 10}
+	want := 1024
+	for i := 0; i < 40; i++ {
+		if got := o.shotsForSegment(i); got != want {
+			t.Errorf("segment %d shots = %d, want %d", i, got, want)
+		}
+		want = min(want*10, 65536)
+	}
+	inf := ExecOptions{Shots: 2, ShotGrowth: math.MaxFloat64, MaxShotsPerSegment: 7}
+	if got := inf.shotsForSegment(2); got != 7 {
+		t.Errorf("infinite growth: shots = %d, want the cap 7", got)
+	}
+}
+
 func TestShotGrowthExecution(t *testing.T) {
 	// The dynamic shot schedule of Figure 7: later segments take more
 	// shots, which must show up in the accounting.

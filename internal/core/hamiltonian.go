@@ -32,6 +32,16 @@ func (tr Transition) Support() []int {
 	return s
 }
 
+// operatorBuilder receives the gates an operator emits. *quantum.Circuit
+// builds them; *transpile.CostMeter prices their decomposition without
+// building a circuit.
+type operatorBuilder interface {
+	X(q int)
+	H(q int)
+	CX(ctrl, tgt int)
+	MCP(qubits []int, theta float64)
+}
+
 // OperatorCircuit emits the gate-level implementation of the transition
 // operator τ(u, t) = exp(-i·H^τ(u)·t) over n qubits — the paper's
 // symmetric structure (Figure 4):
@@ -48,12 +58,29 @@ func (tr Transition) OperatorCircuit(n int, t float64) *quantum.Circuit {
 		panic(fmt.Sprintf("core: transition over %d vars emitted on %d qubits", len(tr.U), n))
 	}
 	c := quantum.NewCircuit(n)
-	sup := tr.Support()
-	if len(sup) == 0 {
-		return c
+	tr.emitOperator(c, t)
+	return c
+}
+
+// emitOperator writes OperatorCircuit's gates into b. It allocates one
+// support slice, whatever the support size.
+func (tr Transition) emitOperator(b operatorBuilder, t float64) {
+	k := NonZero(tr.U)
+	if k == 0 {
+		return
 	}
-	qt := sup[0]
-	rest := sup[1:]
+	// full is the support S with its first qubit qt moved last, so rest =
+	// S\{qt} is its prefix and the full-support MCP lists rest, then qt.
+	full := make([]int, 0, k)
+	for q, v := range tr.U {
+		if v != 0 {
+			full = append(full, q)
+		}
+	}
+	qt := full[0]
+	copy(full, full[1:])
+	full[k-1] = qt
+	rest := full[:k-1]
 
 	// p⁺ is the pattern after "x + u": bit q is 1 where u_q = +1 and 0
 	// where u_q = −1. After CX(qt→q), both patterns agree on q with value
@@ -61,48 +88,46 @@ func (tr Transition) OperatorCircuit(n int, t float64) *quantum.Circuit {
 	p := func(q int) bool { return tr.U[q] == 1 }
 	ladder := func() {
 		for _, q := range rest {
-			c.CX(qt, q)
+			b.CX(qt, q)
 		}
 		for _, q := range rest {
 			if p(q) == p(qt) { // p⁺_q ⊕ p⁺_qt == 0
-				c.X(q)
+				b.X(q)
 			}
 		}
 		// Normalize qt so that pattern p⁺ maps to qt=1.
 		if !p(qt) {
-			c.X(qt)
+			b.X(qt)
 		}
 	}
 	unladder := func() {
 		if !p(qt) {
-			c.X(qt)
+			b.X(qt)
 		}
 		for i := len(rest) - 1; i >= 0; i-- {
 			if q := rest[i]; p(q) == p(qt) {
-				c.X(q)
+				b.X(q)
 			}
 		}
 		for i := len(rest) - 1; i >= 0; i-- {
-			c.CX(qt, rest[i])
+			b.CX(qt, rest[i])
 		}
 	}
 
 	ladder()
-	c.H(qt)
+	b.H(qt)
 	if len(rest) > 0 {
-		c.MCP(rest, -t)
+		b.MCP(rest, -t)
 	}
 	// A single-qubit "MCP" over {qt} alone is just a phase; combined with
 	// the rest it is the full-support multi-controlled phase.
-	full := append(append([]int(nil), rest...), qt)
-	c.MCP(full, 2*t)
-	c.H(qt)
+	b.MCP(full, 2*t)
+	b.H(qt)
 	unladder()
 
 	// With an empty control set the phase pair implements diag(1, e^{2it})
 	// instead of diag(e^{-it}, e^{it}); the difference is the global phase
 	// e^{-it}, which is unobservable, so no compensation is emitted.
-	return c
 }
 
 // CXCost34k is the paper's analytic cost model: a transition operator on

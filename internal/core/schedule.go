@@ -97,9 +97,13 @@ func BuildSchedule(p *problems.Problem, b *Basis, opts ScheduleOptions) *Schedul
 		maxStates = 50000
 	}
 
+	// One reachable set serves both chains. An operator is pruned only
+	// when applying it would add no state, so skipping it leaves the set
+	// exactly as applying it would: the pruned chain's reach always equals
+	// the unpruned chain's, and the count expandInto returns decides
+	// pruning.
 	sched := &Schedule{}
 	reach := map[bitvec.Vec]bool{p.Init: true}
-	reachPruned := map[bitvec.Vec]bool{p.Init: true}
 	consecutiveNoop := 0
 	moves := bitvec.NewMoves(pool)
 
@@ -114,24 +118,15 @@ buildLoop:
 			if len(sched.AllOps) >= maxOps {
 				break buildLoop
 			}
-			if len(reach) >= maxStates || len(reachPruned) >= maxStates {
+			if len(reach) >= maxStates {
 				sched.TruncatedCoverage = true
 				break buildLoop
 			}
 			tr := Transition{U: u}
 			sched.AllOps = append(sched.AllOps, tr)
-			expandInto(reach, &moves[k])
+			grew := expandInto(reach, &moves[k])
 			sched.TraceAll = append(sched.TraceAll, len(reach))
-
-			// Pruning decision against the pruned-path reachability.
-			grew := expandCount(reachPruned, &moves[k])
-			if opts.DisablePrune {
-				sched.Ops = append(sched.Ops, tr)
-				expandInto(reachPruned, &moves[k])
-				sched.TraceOps = append(sched.TraceOps, len(reachPruned))
-				continue
-			}
-			if grew == 0 {
+			if grew == 0 && !opts.DisablePrune {
 				sched.PrunedCount++
 				consecutiveNoop++
 				if consecutiveNoop >= window {
@@ -142,12 +137,11 @@ buildLoop:
 			}
 			consecutiveNoop = 0
 			sched.Ops = append(sched.Ops, tr)
-			expandInto(reachPruned, &moves[k])
-			sched.TraceOps = append(sched.TraceOps, len(reachPruned))
+			sched.TraceOps = append(sched.TraceOps, len(reach))
 		}
 	}
 
-	for x := range reachPruned {
+	for x := range reach {
 		sched.Reachable = append(sched.Reachable, x)
 	}
 	sortVecs(sched.Reachable)
@@ -157,19 +151,19 @@ buildLoop:
 // buildSparsestFirst fills sched with the stratified-greedy chain: scan
 // the (nnz-sorted) pool from the sparsest vector and apply the first one
 // that expands the reach, then rescan from the start; stop when no vector
-// expands or a budget trips.
+// expands or a budget trips. Trying a vector that expands nothing leaves
+// the reach unchanged.
 func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, moves []bitvec.Move, maxOps, maxStates int) {
 	reach := map[bitvec.Vec]bool{p.Init: true}
 	for len(sched.Ops) < maxOps && len(reach) < maxStates {
 		applied := false
 		for k, u := range pool {
-			if expandCount(reach, &moves[k]) == 0 {
+			if expandInto(reach, &moves[k]) == 0 {
 				continue
 			}
 			tr := Transition{U: u}
 			sched.Ops = append(sched.Ops, tr)
 			sched.AllOps = append(sched.AllOps, tr)
-			expandInto(reach, &moves[k])
 			sched.TraceOps = append(sched.TraceOps, len(reach))
 			sched.TraceAll = append(sched.TraceAll, len(reach))
 			applied = true
@@ -188,8 +182,11 @@ func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, mo
 	sortVecs(sched.Reachable)
 }
 
-// expandInto adds every state reachable from the set by one ±u move.
-func expandInto(reach map[bitvec.Vec]bool, u *bitvec.Move) {
+// expandInto adds every state reachable from the set by one ±u move and
+// returns how many it added. The added states need no dedupe: each has
+// exactly one source and direction, since x+u = x′+u forces x = x′ and
+// x+u = x′−u would need x′ = x+2u, which is not binary.
+func expandInto(reach map[bitvec.Vec]bool, u *bitvec.Move) int {
 	var add []bitvec.Vec
 	for x := range reach {
 		if y, ok := u.Add(x); ok && !reach[y] {
@@ -202,20 +199,7 @@ func expandInto(reach map[bitvec.Vec]bool, u *bitvec.Move) {
 	for _, y := range add {
 		reach[y] = true
 	}
-}
-
-// expandCount reports how many new states one ±u move would add.
-func expandCount(reach map[bitvec.Vec]bool, u *bitvec.Move) int {
-	seen := map[bitvec.Vec]bool{}
-	for x := range reach {
-		if y, ok := u.Add(x); ok && !reach[y] {
-			seen[y] = true
-		}
-		if y, ok := u.Sub(x); ok && !reach[y] {
-			seen[y] = true
-		}
-	}
-	return len(seen)
+	return len(add)
 }
 
 // sortVecs sorts v into Compare order. Callers pass distinct map keys, so

@@ -410,13 +410,14 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 		// The stream source emits the bit-identical stream of
 		// parallel.NewRand while exposing its state for capture, so
 		// checkpoints can record it and resumes can restore it. The plain
-		// source stays on the default path to keep it untouched.
+		// source stays on the default path to keep it untouched, and an
+		// exact executor, which never draws, gets none.
 		var srng *rand.Rand
 		var src *parallel.StreamSource
 		if counted {
 			src = parallel.NewStreamSource(opts.Seed+7, uint64(i))
 			srng = src.Rand()
-		} else {
+		} else if !exec.exact() {
 			srng = parallel.NewRand(opts.Seed+7, uint64(i))
 		}
 		o := &outcomes[i]
@@ -610,7 +611,10 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 	if lim != nil {
 		exec.SetWorkerLimit(parallel.LimiterWidth(lim))
 	}
-	finalRng := parallel.NewRand(opts.Seed+7, uint64(len(starts)))
+	var finalRng *rand.Rand
+	if !exec.exact() {
+		finalRng = parallel.NewRand(opts.Seed+7, uint64(len(starts)))
+	}
 	sp = rec.Start(obs.StageFinalEval, mainTrack, root)
 	finalDist, err := exec.RunCtx(ctx, res.X, finalRng)
 	exec.flushStages(sp, rec.Now())

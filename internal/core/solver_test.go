@@ -300,3 +300,25 @@ func TestSolveShotGrowthOption(t *testing.T) {
 		t.Error("shot-growth solve infeasible")
 	}
 }
+
+// TestSolveShotGrowthPastInt64: K4's default schedule runs 18 segments,
+// so 1024·10^i shots pass 2^63 at segment 16; the solve must still run
+// every segment at the 65536 cap.
+func TestSolveShotGrowthPastInt64(t *testing.T) {
+	p := problems.KPP(4, 0)
+	res, err := Solve(context.Background(), p, Options{
+		MaxIter:  1,
+		MaxEvals: 4,
+		Seed:     3,
+		Exec:     ExecOptions{Shots: 1024, ShotGrowth: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumSegments != 18 {
+		t.Fatalf("K4 ran %d segments, want 18", res.NumSegments)
+	}
+	if !p.Feasible(res.BestSolution) {
+		t.Error("shot-growth solve infeasible")
+	}
+}

@@ -161,8 +161,9 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 	}
 	// Sorted by Compare: ascending index order is ascending basis-state
 	// order, so index-ordered reductions match the map engine's
-	// sorted-key-order float accumulation bit for bit.
-	sort.Slice(cs.states, func(i, j int) bool { return cs.states[i].Compare(cs.states[j]) < 0 })
+	// sorted-key-order float accumulation bit for bit. The states are
+	// distinct, so the unstable sort has one result.
+	slices.SortFunc(cs.states, bitvec.Vec.Compare)
 	for i, x := range cs.states {
 		cs.index[x] = int32(i)
 	}

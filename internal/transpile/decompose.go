@@ -8,6 +8,7 @@ package transpile
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rasengan/internal/quantum"
 )
@@ -47,8 +48,18 @@ func Decompose(c *quantum.Circuit) *quantum.Circuit {
 	return out
 }
 
+// nativeSink receives the native gates the decompositions below write.
+// *quantum.Circuit collects them; *CostMeter prices them without keeping
+// any, so the decomposition is written once for both.
+type nativeSink interface {
+	H(q int)
+	RZ(q int, theta float64)
+	P(q int, theta float64)
+	CX(ctrl, tgt int)
+}
+
 // emitCCX writes the textbook 6-CX Toffoli decomposition.
-func emitCCX(out *quantum.Circuit, a, b, t int) {
+func emitCCX(out nativeSink, a, b, t int) {
 	pi4 := math.Pi / 4
 	out.H(t)
 	out.CX(b, t)
@@ -68,7 +79,7 @@ func emitCCX(out *quantum.Circuit, a, b, t int) {
 }
 
 // emitCP writes the 2-CX controlled-phase decomposition.
-func emitCP(out *quantum.Circuit, c, t int, theta float64) {
+func emitCP(out nativeSink, c, t int, theta float64) {
 	out.P(c, theta/2)
 	out.P(t, theta/2)
 	out.CX(c, t)
@@ -81,7 +92,7 @@ func emitCP(out *quantum.Circuit, c, t int, theta float64) {
 // CP; for k ≥ 3 it computes the AND of the first k−1 qubits into a
 // V-chain of ancillas starting at ancBase, applies a CP from the last
 // ancilla to the final qubit, and uncomputes.
-func emitMCP(out *quantum.Circuit, qubits []int, theta float64, ancBase int) {
+func emitMCP(out nativeSink, qubits []int, theta float64, ancBase int) {
 	switch len(qubits) {
 	case 0:
 		return
@@ -107,6 +118,108 @@ func emitMCP(out *quantum.Circuit, qubits []int, theta float64, ancBase int) {
 		emitCCX(out, anc+i-2, controls[i], anc+i-1)
 	}
 	emitCCX(out, controls[0], controls[1], anc)
+}
+
+// Cost is what a CostMeter measured: the figures CountTwoQubit,
+// CountKind(GateCX), Depth and CircuitDurationNS report on the
+// decomposed circuit. Every two-qubit native gate is a CX, so OneQ + CX
+// is the gate count.
+type Cost struct {
+	OneQ, CX   int
+	Depth      int
+	DurationNS float64
+}
+
+// CostMeter prices a circuit over X, H, CX and MCP gates as Decompose
+// would lower it, without building either circuit. Gates arrive through
+// the same methods *quantum.Circuit offers; MCP is lowered by the same
+// emitMCP, with ancillas from the register width up. Per qubit the meter
+// keeps the ASAP layer of Circuit.Depth and the ASAP finish time of
+// CircuitDurationNS, updated in the same order, so every figure —
+// the duration's float included — matches bit for bit.
+type CostMeter struct {
+	n     int
+	d     GateDurations
+	cost  Cost
+	layer []int     // per qubit: depth of its last gate
+	avail []float64 // per qubit: finish time of its last gate
+}
+
+// NewCostMeter returns a meter for circuits over n qubits, timed by d.
+func NewCostMeter(n int, d GateDurations) *CostMeter {
+	return &CostMeter{n: n, d: d, layer: make([]int, n), avail: make([]float64, n)}
+}
+
+// Reset clears the meter for the next circuit, keeping its buffers.
+func (m *CostMeter) Reset() {
+	m.cost = Cost{}
+	m.layer = m.layer[:m.n]
+	m.avail = m.avail[:m.n]
+	clear(m.layer)
+	clear(m.avail)
+}
+
+// Cost returns the figures of every gate emitted since the last Reset.
+func (m *CostMeter) Cost() Cost { return m.cost }
+
+// X, H, RZ and P price one single-qubit gate each; RZ and P are virtual
+// Z rotations and take no time, as in CircuitDurationNS.
+func (m *CostMeter) X(q int)             { m.one(q, m.d.OneQubitNS) }
+func (m *CostMeter) H(q int)             { m.one(q, m.d.OneQubitNS) }
+func (m *CostMeter) RZ(q int, _ float64) { m.one(q, 0) }
+func (m *CostMeter) P(q int, _ float64)  { m.one(q, 0) }
+
+// CX prices one CX on (ctrl, tgt).
+func (m *CostMeter) CX(ctrl, tgt int) {
+	m.cost.CX++
+	l := max(m.layer[ctrl], m.layer[tgt]) + 1
+	m.layer[ctrl], m.layer[tgt] = l, l
+	m.cost.Depth = max(m.cost.Depth, l)
+	start := 0.0
+	if m.avail[ctrl] > start {
+		start = m.avail[ctrl]
+	}
+	if m.avail[tgt] > start {
+		start = m.avail[tgt]
+	}
+	m.finish(start+m.d.TwoQubitNS, ctrl, tgt)
+}
+
+// MCP prices a multi-controlled phase as Decompose lowers it.
+func (m *CostMeter) MCP(qubits []int, theta float64) {
+	if w := m.n + len(qubits) - 2; w > len(m.layer) {
+		// Ancilla qubits start idle, as in Decompose's wider register.
+		m.layer = extend(m.layer, w)
+		m.avail = extend(m.avail, w)
+	}
+	emitMCP(m, qubits, theta, m.n)
+}
+
+// extend returns s lengthened to w with the new entries zeroed.
+func extend[T int | float64](s []T, w int) []T {
+	old := len(s)
+	s = slices.Grow(s, w-old)[:w]
+	clear(s[old:])
+	return s
+}
+
+func (m *CostMeter) one(q int, ns float64) {
+	m.cost.OneQ++
+	l := m.layer[q] + 1
+	m.layer[q] = l
+	m.cost.Depth = max(m.cost.Depth, l)
+	start := 0.0
+	if m.avail[q] > start {
+		start = m.avail[q]
+	}
+	m.finish(start+ns, q, q)
+}
+
+func (m *CostMeter) finish(fin float64, a, b int) {
+	m.avail[a], m.avail[b] = fin, fin
+	if fin > m.cost.DurationNS {
+		m.cost.DurationNS = fin
+	}
 }
 
 // CXCostModel returns the paper's analytic two-qubit cost for a transition
