@@ -11,11 +11,14 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"rasengan/internal/metrics"
@@ -156,6 +159,92 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// WriteJob answers code with a Job envelope: the bytes WriteJSON writes
+// for j when its raw fields are compact JSON, which every server-built
+// Job's are. The raw fields are appended verbatim; WriteJSON would scan
+// and compact each of them again.
+func WriteJob(w http.ResponseWriter, code int, j Job) {
+	const keys = len(`{"job_id":"","status":"","cached":false,"error":"","result":,"telemetry":,"progress":}` + "\n")
+	size := keys + len(j.JobID) + len(j.Status) + len(j.Error) + len(j.Result) + len(j.Telemetry) + len(j.Progress)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(appendJob(make([]byte, 0, size), j))
+}
+
+func appendJob(dst []byte, j Job) []byte {
+	dst = appendString(append(dst, `{"job_id":`...), j.JobID)
+	dst = appendString(append(dst, `,"status":`...), string(j.Status))
+	dst = strconv.AppendBool(append(dst, `,"cached":`...), j.Cached)
+	if j.Error != "" {
+		dst = appendString(append(dst, `,"error":`...), j.Error)
+	}
+	dst = appendRaw(dst, `,"result":`, j.Result)
+	dst = appendRaw(dst, `,"telemetry":`, j.Telemetry)
+	dst = appendRaw(dst, `,"progress":`, j.Progress)
+	return append(dst, "}\n"...)
+}
+
+// appendRaw appends an omitempty raw field verbatim.
+func appendRaw(dst []byte, key string, raw json.RawMessage) []byte {
+	if len(raw) == 0 {
+		return dst
+	}
+	return append(append(dst, key...), raw...)
+}
+
+// jobHead opens every Job envelope: JobID is the first field, and
+// server-minted ids need no escaping.
+const jobHead = `{"job_id":"`
+
+// SplitJob splits a Job envelope as WriteJob or WriteJSON writes it into
+// its job id and the bytes after the id, so that a relay can rename the
+// job without decoding and re-encoding its payload. ok is false unless
+// body is valid JSON in exactly that layout with a plain printable-ASCII
+// id, and it is false when body holds \ufffd, the escape WriteJSON writes
+// for invalid UTF-8: decoding turns it into a literal U+FFFD, so such a
+// body is not what a decode and re-encode would answer.
+func SplitJob(body []byte) (id string, rest []byte, ok bool) {
+	if !bytes.HasPrefix(body, []byte(jobHead)) || !bytes.HasSuffix(body, []byte("}\n")) {
+		return "", nil, false
+	}
+	end := len(jobHead)
+	for ; end < len(body) && body[end] != '"'; end++ {
+		if c := body[end]; c < 0x20 || c > 0x7e || c == '\\' {
+			return "", nil, false
+		}
+	}
+	if end == len(body) || bytes.Contains(body, []byte(`\ufffd`)) || !json.Valid(body) {
+		return "", nil, false
+	}
+	return string(body[len(jobHead):end]), body[end+1:], true
+}
+
+// WriteJobAs answers code with an envelope split by SplitJob, under job
+// id instead of the one it was split from.
+func WriteJobAs(w http.ResponseWriter, code int, id string, rest []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(appendString(append(make([]byte, 0, len(jobHead)+len(id)+1), `{"job_id":`...), id))
+	_, _ = w.Write(rest)
+}
+
+// appendString appends s as encoding/json writes a string with HTML
+// escaping off. Printable ASCII other than quote and backslash, which is
+// all a job id or status holds, is appended as it is; any other string
+// goes through encoding/json itself.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetEscapeHTML(false)
+			_ = enc.Encode(s) // a string always encodes
+			return append(dst, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
 // WriteError answers code with an Error body.
 func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, Error{Error: fmt.Sprintf(format, args...)})
@@ -208,16 +297,41 @@ func NewHandler(m RouteMetrics, h Handlers) http.Handler {
 }
 
 func (m RouteMetrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	// The duration child is resolved once per route at wrap time, so the
-	// per-request cost is one histogram observation, not a registry lookup.
+	// The duration child is resolved once per route at wrap time and each
+	// status code's counter on first use, so the per-request cost is one
+	// observation and one increment, not a registry lookup under its lock.
 	dur := m.Registry.HistogramWith(m.DurationName, m.DurationHelp, nil, [2]string{"route", route})
+	// Counters by status code: reads load an immutable map without a
+	// lock; the first request with a new code publishes a copy with it.
+	var counts atomic.Pointer[map[int]metrics.Counter]
+	var mu sync.Mutex
+	count := func(code int) metrics.Counter {
+		if byCode := counts.Load(); byCode != nil {
+			if c, ok := (*byCode)[code]; ok {
+				return c
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		next := map[int]metrics.Counter{}
+		if byCode := counts.Load(); byCode != nil {
+			for k, v := range *byCode {
+				next[k] = v
+			}
+		}
+		if _, ok := next[code]; !ok {
+			next[code] = m.Registry.CounterWith(m.CountName, m.CountHelp,
+				[2]string{"route", route}, [2]string{"code", strconv.Itoa(code)})
+		}
+		counts.Store(&next)
+		return next[code]
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
 		dur.Observe(time.Since(start).Seconds())
-		m.Registry.CounterWith(m.CountName, m.CountHelp,
-			[2]string{"route", route}, [2]string{"code", strconv.Itoa(rec.code)}).Inc()
+		count(rec.code).Inc()
 	}
 }
 

@@ -211,17 +211,6 @@ func specHashOf(raw json.RawMessage) (string, int, error) {
 	return h, 0, nil
 }
 
-// stashBody rebuilds a solve request suitable for failover re-submission
-// and hedging: identical spec/config/timeout (so the cache key matches on
-// any node) with wait_ms stripped (polls must not block a failover hop).
-func stashBody(req api.SolveRequest) []byte {
-	out, err := json.Marshal(api.SolveRequest{Spec: req.Spec, Config: req.Config, TimeoutMS: req.TimeoutMS})
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
 // --- upstream forwarding ---
 
 // upstreamDo issues one upstream HTTP request. Bodies are byte slices,
@@ -300,31 +289,42 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, io.LimitReader(resp.Body, api.MaxBodyBytes))
 }
 
-// decodeJob reads and closes an upstream solve/job response body.
-func decodeJob(resp *http.Response) (api.Job, error) {
+// readBody reads and closes an upstream response body.
+func readBody(resp *http.Response) ([]byte, error) {
 	defer drainBody(resp)
-	var job api.Job
-	err := json.NewDecoder(io.LimitReader(resp.Body, api.MaxBodyBytes)).Decode(&job)
-	return job, err
+	return io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
 }
 
 // relayJob answers with an upstream solve, poll or cancel response and
 // closes it. Rejections and errors pass through verbatim; a 200/202 job
 // view is re-sent under the gateway id that rename returns for its
-// upstream id (rename may also record the job).
+// upstream id (rename may also record the job). Only the id is replaced:
+// the rest of the backend's envelope, payload included, is written
+// through as it came. A body api.SplitJob declines is decoded and
+// re-encoded instead; one that is not valid JSON gets a 502.
 func relayJob(w http.ResponseWriter, resp *http.Response, rename func(upstream string) string) {
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 		defer drainBody(resp)
 		copyResponse(w, resp)
 		return
 	}
-	job, err := decodeJob(resp)
+	body, err := readBody(resp)
+	if err == nil {
+		if upstream, rest, ok := api.SplitJob(body); ok {
+			api.WriteJobAs(w, resp.StatusCode, rename(upstream), rest)
+			return
+		}
+	}
+	var job api.Job
+	if err == nil {
+		err = json.Unmarshal(body, &job)
+	}
 	if err != nil {
 		api.WriteError(w, http.StatusBadGateway, "bad backend response: %v", err)
 		return
 	}
 	job.JobID = rename(job.JobID)
-	api.WriteJSON(w, resp.StatusCode, job)
+	api.WriteJob(w, resp.StatusCode, job)
 }
 
 // --- handlers ---
@@ -357,7 +357,8 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	relayJob(w, resp, func(upstream string) string {
 		id := gatewayJobID(backend.ID, upstream)
-		g.jobs.put(id, &jobEntry{backend: backend.ID, upstream: upstream, specHash: hash, request: stashBody(req)})
+		// An exact-size copy: raw's buffer has room to spare.
+		g.jobs.put(id, &jobEntry{backend: backend.ID, upstream: upstream, specHash: hash, request: bytes.Clone(raw)})
 		return id
 	})
 }
@@ -438,8 +439,9 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				out := subResp.Items[i]
 				if out.JobID != "" {
 					id := gatewayJobID(owner, out.JobID)
+					request, _ := json.Marshal(it.req) // decoded JSON always encodes
 					g.jobs.put(id, &jobEntry{backend: owner, upstream: out.JobID,
-						specHash: it.hash, request: stashBody(it.req)})
+						specHash: it.hash, request: request})
 					out.JobID = id
 				}
 				items[it.idx] = out
@@ -556,7 +558,7 @@ func (g *Gateway) pollOwner(ctx context.Context, owner *Backend, entry jobEntry)
 	g.hedgesTotal.Inc()
 	hedge := make(chan *http.Response, 1)
 	go func() {
-		resp, err := g.upstreamDo(hctx, http.MethodPost, target.URL()+"/v1/solve", entry.request)
+		resp, err := g.upstreamDo(hctx, http.MethodPost, target.URL()+"/v1/solve", entry.resubmitBody())
 		if err != nil {
 			hedge <- nil
 			return
@@ -586,9 +588,12 @@ func (g *Gateway) pollOwner(ctx context.Context, owner *Backend, entry jobEntry)
 			}
 			// Peek: only a terminal done answer may win (a 200 from
 			// POST /v1/solve with wait_ms=0 can still be a queued view).
-			job, err := decodeJob(resp)
-			hcancel() // body fully consumed by the decode
-			if err != nil || job.Status != api.StatusDone {
+			body, err := readBody(resp)
+			hcancel() // body fully consumed
+			var job struct {
+				Status api.Status `json:"status"`
+			}
+			if err != nil || json.Unmarshal(body, &job) != nil || job.Status != api.StatusDone {
 				continue
 			}
 			g.hedgeWins.Inc()
@@ -598,7 +603,7 @@ func (g *Gateway) pollOwner(ctx context.Context, owner *Backend, entry jobEntry)
 					drainBody(o.resp)
 				}
 			}()
-			return rebuildResponse(resp.StatusCode, job), nil
+			return rebuildResponse(resp.StatusCode, body), nil
 		}
 	}
 }
@@ -616,10 +621,9 @@ func (c cancelOnClose) Close() error {
 	return err
 }
 
-// rebuildResponse wraps an already-decoded job back into an
-// *http.Response so the hedge path slots into the normal decode flow.
-func rebuildResponse(code int, job api.Job) *http.Response {
-	body, _ := json.Marshal(job)
+// rebuildResponse wraps an already-read body back into an
+// *http.Response so the hedge path slots into the normal relay flow.
+func rebuildResponse(code int, body []byte) *http.Response {
 	return &http.Response{
 		StatusCode: code,
 		Header:     http.Header{"Content-Type": []string{"application/json"}},
@@ -640,7 +644,7 @@ func (g *Gateway) failoverPoll(w http.ResponseWriter, r *http.Request, id string
 			entry.backend, id)
 		return
 	}
-	resp, backend, err := g.forwardKeyed(r.Context(), entry.specHash, http.MethodPost, "/v1/solve", entry.request, true)
+	resp, backend, err := g.forwardKeyed(r.Context(), entry.specHash, http.MethodPost, "/v1/solve", entry.resubmitBody(), true)
 	if err != nil {
 		if errors.Is(err, errNoBackend) {
 			g.writeNoBackend(w)

@@ -31,7 +31,7 @@ type clusterNode struct {
 }
 
 type testCluster struct {
-	t     *testing.T
+	t     testing.TB
 	nodes []*clusterNode
 	gw    *cluster.Gateway
 	gwTS  *httptest.Server
@@ -54,7 +54,7 @@ func fastRetry() cluster.RetryPolicy {
 // newTestCluster spins n service instances and a gateway over them.
 // svcCfg may be nil (default config with the real solver); it receives
 // the node index so nodes can differ (DataDir, stub solvers, ...).
-func newTestCluster(t *testing.T, n int, svcCfg func(i int) service.Config, tune func(*cluster.Config)) *testCluster {
+func newTestCluster(t testing.TB, n int, svcCfg func(i int) service.Config, tune func(*cluster.Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t, client: &http.Client{Timeout: 10 * time.Second}}
 	var backends []*cluster.Backend

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
+
+	"rasengan/internal/api"
 )
 
 // jobEntry is the gateway's record of one proxied job: where it lives
@@ -14,7 +18,21 @@ type jobEntry struct {
 	backend  string // current owner's Backend.ID
 	upstream string // the job id on that backend
 	specHash string // canonical spec hash (ring key); "" when unknown
-	request  []byte // re-submittable solve body (wait_ms stripped); nil when unknown
+	// request is a solve body the gateway accepted: the client's bytes,
+	// or a batch item re-encoded. nil when unknown. See resubmitBody.
+	request []byte
+}
+
+// resubmitBody is the body a failover or hedge sends for the stashed
+// request: the same spec, config and timeout (so the cache key matches
+// on any node) with wait_ms stripped (polls must not block a failover
+// hop). It is built only when one is sent, not for every relayed answer.
+func (e jobEntry) resubmitBody() []byte {
+	var r api.SolveRequest
+	// The gateway decoded these bytes with the same decoder on intake.
+	_ = api.Decode(bytes.NewReader(e.request), &r)
+	out, _ := json.Marshal(api.SolveRequest{Spec: r.Spec, Config: r.Config, TimeoutMS: r.TimeoutMS})
+	return out
 }
 
 // jobMap is a bounded id → entry index with FIFO eviction, the same

@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"rasengan/internal/bitvec"
 	"rasengan/internal/cluster"
 	"rasengan/internal/core"
 	"rasengan/internal/obs"
@@ -71,6 +72,8 @@ func (s *wireStub) solve(ctx context.Context, p *problems.Problem, opts core.Opt
 		}
 	case "GCP":
 		return nil, errors.New("stub failure")
+	case "WIRE":
+		return nil, errors.New(wireEscapeError)
 	}
 	return &core.Result{
 		BestSolution: p.Init,
@@ -81,6 +84,53 @@ func (s *wireStub) solve(ctx context.Context, p *problems.Problem, opts core.Opt
 			{Start: 0, Iter: 1, BestEnergy: 3.5, ParamNorm: 1.5, ElapsedMS: 4},
 		},
 	}, nil
+}
+
+// wireEscapeError is the failure text of the stub's WIRE family: every
+// kind of character a JSON writer must escape, or must leave alone.
+const wireEscapeError = "quote \" backslash \\ html <&> newline\n control \x01 separator \u2028 non-ASCII é"
+
+// inlineWireSpec is the inline spec of one generated instance under a new
+// name and family (the family picks the stub's behaviour).
+func inlineWireSpec(t *testing.T, b problems.Benchmark, caseIdx int, name, family string) string {
+	t.Helper()
+	p := b.Generate(caseIdx)
+	p.Name, p.Family = name, family
+	data, err := problems.ToJSON(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(problems.Spec{Problem: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(spec)
+}
+
+// wideWireSpec is an inline spec of 41 variables, one more than a
+// service accepts by default.
+func wideWireSpec(t *testing.T) string {
+	t.Helper()
+	const n = 41
+	b := problems.NewBuilder("wide", n).Eq(map[int]int64{0: 1, 1: 1}, 1)
+	for i := 0; i < n; i++ {
+		b.Linear(i, float64(i%3))
+	}
+	init := bitvec.New(n)
+	init.Set(0, true)
+	p, err := b.Init(init).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := problems.ToJSON(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(problems.Spec{Problem: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(spec)
 }
 
 func wireServiceConfig(stub *wireStub) service.Config {
@@ -160,6 +210,9 @@ func (r *wireRun) waitStatus(id, want string) {
 // the direct run reuses the same bodies.
 type wireSpecs struct {
 	computed, block, queued, rejected, failed, drained string
+	// inline is a cached inline instance, wide one a service rejects for
+	// its width, escaped one whose solve fails with wireEscapeError.
+	inline, wide, escaped string
 }
 
 func pickWireSpecs(t *testing.T, gw *cluster.Gateway) wireSpecs {
@@ -183,6 +236,9 @@ func pickWireSpecs(t *testing.T, gw *cluster.Gateway) wireSpecs {
 		rejected: nextFLPOnN1(),
 		failed:   specOwnedBy(t, gw, "n2", "GCP", 1),
 		drained:  nextFLPOnN1(),
+		inline:   inlineWireSpec(t, problems.Benchmark{Family: "FLP", Scale: 1}, 7, `inline <&> "wire" é`, "FLP"),
+		wide:     wideWireSpec(t),
+		escaped:  inlineWireSpec(t, problems.Benchmark{Family: "FLP", Scale: 1}, 8, "escaped", "WIRE"),
 	}
 }
 
@@ -258,6 +314,16 @@ func (r *wireRun) drive(s wireSpecs, stub *wireStub, unknownJob string, drain fu
 	if health {
 		r.do("healthz", "GET", "/healthz", "")
 	}
+
+	// Inline specs, the width limit and error escaping, after the listings
+	// so the job ids above stay put.
+	r.do("solve computed inline", "POST", "/v1/solve", wireSolve(s.inline, 10000))
+	r.do("solve cached inline", "POST", "/v1/solve", wireSolve(s.inline, 10000))
+	r.do("solve 422 too many variables", "POST", "/v1/solve", wireSolve(s.wide, 10000))
+	r.do("batch cached inline and too wide", "POST", "/v1/solve/batch", `{"items":[`+
+		wireSolve(s.inline, 0)+`,`+wireSolve(s.wide, 0)+`]}`)
+	escaped := r.jobID(r.do("solve failed escaped error", "POST", "/v1/solve", wireSolve(s.escaped, 10000)))
+	r.do("poll failed escaped error", "GET", "/v1/jobs/"+escaped, "")
 
 	drain()
 	r.do("solve 503 draining", "POST", "/v1/solve", wireSolve(s.drained, 0))

@@ -1,7 +1,9 @@
 package problems
 
 import (
+	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -67,6 +69,61 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		}
 		if err1 == nil && h1 != h2 {
 			t.Fatalf("content hash changed across round trip: %s vs %s", h1, h2)
+		}
+	})
+}
+
+// FuzzSpecCanonical checks the canonical encoder against the original
+// one (oracleCanonical in spec_pins_test.go): for every spec that parses,
+// both produce the same bytes or the same error. For an explicit
+// instance, the problem Address decodes on the way equals the one Build
+// returns, which the service solves on a miss in its place.
+func FuzzSpecCanonical(f *testing.F) {
+	for _, b := range Suite() {
+		data, err := json.Marshal(SpecFor(b, b.Scale))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, ns := range escapedInstances(f) {
+		data, err := json.Marshal(ns.spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"problem":{"version":1,"name":"x","num_vars":1,"objective_linear":[1],"constraint_rows":[],"constraint_rhs":[],"initial_solution":"0"}}`))
+	f.Add([]byte(`{"problem":{"version":1,"num_vars":2,"objective_linear":[1,2],"objective_quad":[{"i":0,"j":1,"coef":-1e-7}],"constraint_rows":[[1,1]],"constraint_rhs":[1],"initial_solution":"10","meta":{"\u2028":1}}}`))
+	f.Add([]byte(`{"problem":{"version":1,"num_vars":1,"objective_linear":[1],"initial_solution":"1","constraint_rows":[[1]],"constraint_rhs":[0]}}`))
+	f.Add([]byte(`{"family":"GCP","scale":4,"case":1048576}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		got, errGot := s.Canonical()
+		want, errWant := oracleCanonical(s)
+		if (errGot == nil) != (errWant == nil) || (errGot != nil && errGot.Error() != errWant.Error()) {
+			t.Fatalf("encoders disagree on rejection: %v vs oracle %v", errGot, errWant)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("canonical bytes differ:\n  got:    %s\n  oracle: %s", got, want)
+		}
+		if errGot != nil || len(s.Problem) == 0 {
+			return
+		}
+		_, decoded, err := s.Address()
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := s.Build()
+		if err != nil {
+			t.Fatalf("Address accepted what Build rejects: %v", err)
+		}
+		if !reflect.DeepEqual(decoded, built) {
+			t.Fatalf("Address decoded %+v, Build built %+v", decoded, built)
 		}
 	})
 }

@@ -39,6 +39,11 @@ func ToJSON(p *Problem) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return json.MarshalIndent(fileOf(p), "", "  ")
+}
+
+// fileOf returns the problemFile form of a valid problem.
+func fileOf(p *Problem) problemFile {
 	f := problemFile{
 		Version:  problemFileVersion,
 		Name:     p.Name,
@@ -57,7 +62,7 @@ func ToJSON(p *Problem) ([]byte, error) {
 	for r := 0; r < p.C.Rows; r++ {
 		f.Rows = append(f.Rows, p.C.Row(r))
 	}
-	return json.MarshalIndent(f, "", "  ")
+	return f
 }
 
 // FromJSON reconstructs and validates a problem instance.

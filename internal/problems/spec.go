@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // Spec is the wire form of a solve request's problem: either a seeded
@@ -86,55 +87,75 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// canonicalSpec fixes the field order and shape of the canonical
-// encoding. Generator specs always spell out all three coordinates;
-// explicit problems are themselves re-canonicalized through
-// FromJSON → ToJSON so coefficient formatting and field order cannot
-// perturb the hash.
-type canonicalSpec struct {
-	Kind    string          `json:"kind"` // "generator" | "instance"
-	Family  string          `json:"family,omitempty"`
-	Scale   int             `json:"scale,omitempty"`
-	Case    int             `json:"case"`
-	Problem json.RawMessage `json:"problem,omitempty"`
-}
-
 // Canonical returns the canonical byte encoding of the spec: compact
 // JSON with a fixed field order, identical for every wire form that
 // denotes the same instance. It validates the spec (including an
 // explicit problem payload) as a side effect.
 func (s *Spec) Canonical() ([]byte, error) {
+	data, _, err := s.canonical()
+	return data, err
+}
+
+// canonical returns the canonical encoding and, for an explicit
+// instance, the problem decoded to produce it (nil for a generator
+// spec). The two shapes are
+//
+//	{"kind":"generator","family":"FLP","scale":2,"case":0}
+//	{"kind":"instance","case":0,"problem":<problem file>}
+//
+// where the problem file is json.Marshal of the decoded problem's file
+// form, so coefficient formatting and field order cannot perturb the
+// hash. Journals persist these hashes as cache keys, so the bytes must
+// never move: they equal json.Marshal of the same shape with the problem
+// as the compacted ToJSON output (compacting indented Marshal output
+// restores it, and json.Marshal passes compact raw JSON through
+// unchanged), which testdata/spec_hashes.json and FuzzSpecCanonical pin.
+func (s *Spec) canonical() ([]byte, *Problem, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	c := canonicalSpec{Kind: "generator", Family: s.Family, Scale: s.Scale, Case: s.Case}
-	if len(s.Problem) > 0 {
-		p, err := FromJSON(s.Problem)
-		if err != nil {
-			return nil, err
-		}
-		normalized, err := ToJSON(p)
-		if err != nil {
-			return nil, err
-		}
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, normalized); err != nil {
-			return nil, fmt.Errorf("problems: spec: %w", err)
-		}
-		c = canonicalSpec{Kind: "instance", Problem: compact.Bytes()}
+	if len(s.Problem) == 0 {
+		// Validate admits only the five family names, which need no
+		// escaping.
+		data := append([]byte(`{"kind":"generator","family":"`), s.Family...)
+		data = append(data, `","scale":`...)
+		data = strconv.AppendInt(data, int64(s.Scale), 10)
+		data = append(data, `,"case":`...)
+		data = strconv.AppendInt(data, int64(s.Case), 10)
+		return append(data, '}'), nil, nil
 	}
-	return json.Marshal(c)
+	p, err := FromJSON(s.Problem)
+	if err != nil {
+		return nil, nil, err
+	}
+	file, err := json.Marshal(fileOf(p))
+	if err != nil {
+		return nil, nil, fmt.Errorf("problems: spec: %w", err)
+	}
+	const head = `{"kind":"instance","case":0,"problem":`
+	data := make([]byte, 0, len(head)+len(file)+1)
+	data = append(append(append(data, head...), file...), '}')
+	return data, p, nil
+}
+
+// Address returns the spec's content address (see Hash) and, for an
+// explicit instance, the problem decoded on the way, so that a caller
+// who goes on to solve it need not decode it again. The problem is nil
+// for a generator spec, which is built only on demand.
+func (s *Spec) Address() (string, *Problem, error) {
+	data, p, err := s.canonical()
+	if err != nil {
+		return "", nil, err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), p, nil
 }
 
 // Hash returns the content address of the spec: the hex SHA-256 of its
 // canonical encoding.
 func (s *Spec) Hash() (string, error) {
-	data, err := s.Canonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	h, _, err := s.Address()
+	return h, err
 }
 
 // Build materializes the instance the spec denotes.

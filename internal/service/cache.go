@@ -32,7 +32,9 @@ import (
 // lruCache is a fixed-capacity, content-addressed LRU over marshaled
 // result payloads. Keys are "<spec-hash>/<config-fingerprint>" strings;
 // values are immutable byte slices served verbatim to clients (callers
-// must not mutate them after Put).
+// must not mutate them after Put). Each entry also records the variable
+// count of its problem, so that a hit can apply the server's width limit
+// without building the problem.
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -45,6 +47,7 @@ type lruCache struct {
 type lruEntry struct {
 	key   string
 	value []byte
+	vars  int // variable count of the problem; 0 until known
 }
 
 // newLRUCache returns a cache holding at most capacity entries;
@@ -57,40 +60,53 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-// Get returns the cached payload and whether it was present, promoting
-// the entry to most-recently-used on a hit.
-func (c *lruCache) Get(key string) ([]byte, bool) {
+// Get returns the cached payload, the variable count recorded for it
+// (0 when not yet known) and whether it was present, promoting the entry
+// to most-recently-used on a hit.
+func (c *lruCache) Get(key string) (value []byte, vars int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, 0, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).value, true
+	e := el.Value.(*lruEntry)
+	return e.value, e.vars, true
 }
 
 // Put inserts or refreshes an entry, evicting the least recently used
-// entry when over capacity.
-func (c *lruCache) Put(key string, value []byte) {
+// entry when over capacity. vars is the variable count of the entry's
+// problem, or 0 when the caller does not know it.
+func (c *lruCache) Put(key string, value []byte, vars int) {
 	if c.capacity < 1 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*lruEntry).value = value
+		e := el.Value.(*lruEntry)
+		e.value, e.vars = value, vars
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&lruEntry{key: key, value: value})
+	c.entries[key] = c.order.PushFront(&lruEntry{key: key, value: value, vars: vars})
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*lruEntry).key)
 		c.evictions++
+	}
+}
+
+// SetVars records the variable count of a resident entry's problem.
+func (c *lruCache) SetVars(key string, vars int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		el.Value.(*lruEntry).vars = vars
 	}
 }
 

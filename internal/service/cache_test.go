@@ -7,11 +7,11 @@ import (
 
 func TestLRUBasicHitMiss(t *testing.T) {
 	c := newLRUCache(2)
-	if _, ok := c.Get("a"); ok {
+	if _, _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Put("a", []byte("1"))
-	v, ok := c.Get("a")
+	c.Put("a", []byte("1"), 0)
+	v, _, ok := c.Get("a")
 	if !ok || string(v) != "1" {
 		t.Fatalf("got %q, %v", v, ok)
 	}
@@ -23,17 +23,17 @@ func TestLRUBasicHitMiss(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	c := newLRUCache(2)
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("2"))
+	c.Put("a", []byte("1"), 0)
+	c.Put("b", []byte("2"), 0)
 	c.Get("a") // promote a; b is now LRU
-	c.Put("c", []byte("3"))
-	if _, ok := c.Get("b"); ok {
+	c.Put("c", []byte("3"), 0)
+	if _, _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, _, ok := c.Get("a"); !ok {
 		t.Error("a should have survived (recently used)")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, _, ok := c.Get("c"); !ok {
 		t.Error("c should be resident")
 	}
 	if _, _, ev := c.Stats(); ev != 1 {
@@ -46,12 +46,12 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestLRURefreshDoesNotGrow(t *testing.T) {
 	c := newLRUCache(2)
-	c.Put("a", []byte("1"))
-	c.Put("a", []byte("2"))
+	c.Put("a", []byte("1"), 0)
+	c.Put("a", []byte("2"), 0)
 	if c.Len() != 1 {
 		t.Errorf("len = %d after double put, want 1", c.Len())
 	}
-	v, _ := c.Get("a")
+	v, _, _ := c.Get("a")
 	if string(v) != "2" {
 		t.Errorf("refresh did not replace value: %q", v)
 	}
@@ -59,8 +59,8 @@ func TestLRURefreshDoesNotGrow(t *testing.T) {
 
 func TestLRUDisabled(t *testing.T) {
 	c := newLRUCache(-1)
-	c.Put("a", []byte("1"))
-	if _, ok := c.Get("a"); ok {
+	c.Put("a", []byte("1"), 0)
+	if _, _, ok := c.Get("a"); ok {
 		t.Error("disabled cache stored an entry")
 	}
 }
@@ -73,7 +73,7 @@ func TestLRUConcurrent(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", (g*i)%32)
-				c.Put(k, []byte(k))
+				c.Put(k, []byte(k), 0)
 				c.Get(k)
 			}
 		}(g)

@@ -19,19 +19,19 @@ import (
 
 func TestLRUCachePutRefresh(t *testing.T) {
 	c := newLRUCache(2)
-	c.Put("a", []byte("a1"))
-	c.Put("b", []byte("b1"))
+	c.Put("a", []byte("a1"), 0)
+	c.Put("b", []byte("b1"), 0)
 	// Refreshing "a" must replace its bytes AND move it to the front, so
 	// the next eviction takes "b".
-	c.Put("a", []byte("a2"))
-	if v, ok := c.Get("a"); !ok || string(v) != "a2" {
+	c.Put("a", []byte("a2"), 0)
+	if v, _, ok := c.Get("a"); !ok || string(v) != "a2" {
 		t.Fatalf(`Get("a") = %q, %v; want "a2"`, v, ok)
 	}
-	c.Put("c", []byte("c1"))
-	if _, ok := c.Get("b"); ok {
+	c.Put("c", []byte("c1"), 0)
+	if _, _, ok := c.Get("b"); ok {
 		t.Error(`"b" survived eviction; refresh did not promote "a"`)
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, _, ok := c.Get("a"); !ok {
 		t.Error(`refreshed "a" was evicted`)
 	}
 	if c.Len() != 2 {
@@ -42,8 +42,8 @@ func TestLRUCachePutRefresh(t *testing.T) {
 func TestLRUCacheDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1, -256} {
 		c := newLRUCache(capacity)
-		c.Put("k", []byte("v"))
-		if _, ok := c.Get("k"); ok {
+		c.Put("k", []byte("v"), 0)
+		if _, _, ok := c.Get("k"); ok {
 			t.Errorf("capacity %d: disabled cache returned a hit", capacity)
 		}
 		if c.Len() != 0 {
@@ -59,7 +59,7 @@ func TestLRUCacheDisabled(t *testing.T) {
 func TestLRUCacheEvictionAccounting(t *testing.T) {
 	c := newLRUCache(3)
 	for i := 0; i < 5; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}, 0)
 		// Interleave Gets so recency order differs from insertion order.
 		c.Get("k0")
 	}
@@ -74,7 +74,7 @@ func TestLRUCacheEvictionAccounting(t *testing.T) {
 	}
 	// Re-putting a resident key must not evict anything.
 	before := evictions
-	c.Put("k4", []byte("new"))
+	c.Put("k4", []byte("new"), 0)
 	if _, _, after := c.Stats(); after != before {
 		t.Errorf("refresh changed eviction count %d → %d", before, after)
 	}

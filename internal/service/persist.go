@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"strconv"
-	"time"
 
 	"rasengan/internal/api"
 	"rasengan/internal/core"
@@ -111,7 +110,9 @@ func (s *Server) recover(entries []store.JobEntry) error {
 				continue
 			}
 			if pl.Key != "" {
-				s.cache.Put(pl.Key, payload)
+				// Width unknown until the first hit builds the problem, so
+				// recovery builds nothing.
+				s.cache.Put(pl.Key, payload, 0)
 			}
 			s.jobs.restoreTerminal(e.ID, api.StatusDone, payload, "")
 			s.jobsRecovered.Inc()
@@ -157,14 +158,7 @@ func (s *Server) reenqueue(e store.JobEntry) error {
 	}
 	// Replay the resolved warm start verbatim; see jobPayload.
 	opts.InitialTimes = pl.InitialTimes
-	deadline := s.cfg.DefaultTimeout
-	if pl.TimeoutMS > 0 {
-		deadline = time.Duration(pl.TimeoutMS) * time.Millisecond
-		if deadline > s.cfg.MaxTimeout {
-			deadline = s.cfg.MaxTimeout
-		}
-	}
-	j := s.jobs.restoreActive(context.Background(), e.ID, pl.Key, p, opts, deadline)
+	j := s.jobs.restoreActive(context.Background(), e.ID, pl.Key, p, opts, s.deadlineFor(pl.TimeoutMS))
 	j.family, j.scale = pl.Family, pl.Scale
 	if err := s.queue.Submit(j); err != nil {
 		j.finish(api.StatusCanceled, nil, "not enqueued at recovery")

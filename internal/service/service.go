@@ -401,9 +401,13 @@ func (s *Server) buildOptions(c api.Config) (core.Options, error) {
 
 // --- handlers ---
 
-// preparedSolve is a parsed, validated, keyed solve request, ready for
-// admission. Both the single and batch endpoints produce one per item.
+// preparedSolve is a parsed, validated, keyed solve request: a cache
+// hit already answered, or a miss ready for admission. Both the single
+// and batch endpoints produce one per item.
 type preparedSolve struct {
+	// hit is the terminal job that answers a cache hit; nil on a miss,
+	// whose remaining fields are then all set.
+	hit       *job
 	rawSpec   json.RawMessage
 	cfg       api.Config
 	timeoutMS int
@@ -415,9 +419,14 @@ type preparedSolve struct {
 	deadline  time.Duration
 }
 
-// prepareSolve validates a request through to its cache key: parse the
-// spec, resolve options, build the problem, inject (dimension-checked)
-// warm starts, fingerprint. On error the int is the HTTP status.
+// prepareSolve validates a request through to its cache key and looks
+// the key up: parse the spec, hash it, resolve options, fingerprint,
+// then one cache.Get. A hit builds nothing: the width limit reads the
+// variable count the cache recorded (or the inline problem the hash
+// decoded). Only a miss builds the problem, reusing an inline one, and
+// width-checks it. A warm-start request is built first, because its key
+// covers the warm-store times injected for the built problem. On error
+// the int is the HTTP status.
 func (s *Server) prepareSolve(req api.SolveRequest) (*preparedSolve, int, error) {
 	if len(req.Spec) == 0 {
 		return nil, http.StatusBadRequest, errors.New("missing \"spec\"")
@@ -426,7 +435,7 @@ func (s *Server) prepareSolve(req api.SolveRequest) (*preparedSolve, int, error)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
-	specHash, err := spec.Hash()
+	specHash, inline, err := spec.Address()
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
@@ -434,37 +443,85 @@ func (s *Server) prepareSolve(req api.SolveRequest) (*preparedSolve, int, error)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, fmt.Errorf("invalid config: %w", err)
 	}
-	p, err := spec.Build()
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
-	}
-	if p.N > s.cfg.MaxVars {
-		return nil, http.StatusUnprocessableEntity,
-			fmt.Errorf("problem has %d variables; this server accepts at most %d", p.N, s.cfg.MaxVars)
-	}
+	ps := &preparedSolve{rawSpec: req.Spec, cfg: req.Config, timeoutMS: req.TimeoutMS,
+		spec: spec, specHash: specHash, problem: inline, opts: opts}
 	if req.Config.WarmStart {
+		if err := s.buildProblem(ps); err != nil {
+			return nil, http.StatusUnprocessableEntity, err
+		}
 		// Inject before the key is computed: the fingerprint must cover
 		// the initial times actually used (see lookupWarmStart).
-		opts.InitialTimes = s.lookupWarmStart(spec, specHash, p, opts)
+		ps.opts.InitialTimes = s.lookupWarmStart(spec, specHash, ps.problem, ps.opts)
 	}
-	deadline := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		deadline = time.Duration(req.TimeoutMS) * time.Millisecond
-		if deadline > s.cfg.MaxTimeout {
-			deadline = s.cfg.MaxTimeout
+	ps.key = specHash + "/" + core.OptionsFingerprint(ps.opts)
+
+	// Cache first: identical (spec, config) requests never re-simulate.
+	if payload, vars, ok := s.cache.Get(ps.key); ok {
+		if ps.problem != nil {
+			vars = ps.problem.N
+		} else if vars == 0 {
+			// Recovered from the journal: learn the width on the first hit.
+			p, err := spec.Build()
+			if err != nil {
+				return nil, http.StatusUnprocessableEntity, err
+			}
+			vars = p.N
+			s.cache.SetVars(ps.key, vars)
 		}
+		if err := s.checkWidth(vars); err != nil {
+			return nil, http.StatusUnprocessableEntity, err
+		}
+		s.cacheHits.Inc()
+		ps.hit = s.jobs.createDone(payload, true)
+		return ps, 0, nil
 	}
-	return &preparedSolve{
-		rawSpec:   req.Spec,
-		cfg:       req.Config,
-		timeoutMS: req.TimeoutMS,
-		spec:      spec,
-		specHash:  specHash,
-		problem:   p,
-		opts:      opts,
-		key:       specHash + "/" + core.OptionsFingerprint(opts),
-		deadline:  deadline,
-	}, 0, nil
+	if err := s.buildProblem(ps); err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	s.cacheMisses.Inc()
+	ps.deadline = s.deadlineFor(req.TimeoutMS)
+	return ps, 0, nil
+}
+
+// buildProblem materializes the problem of a prepared solve (an inline
+// spec already carries it) and applies the width limit.
+func (s *Server) buildProblem(ps *preparedSolve) error {
+	if ps.problem == nil {
+		p, err := ps.spec.Build()
+		if err != nil {
+			return err
+		}
+		ps.problem = p
+	}
+	return s.checkWidth(ps.problem.N)
+}
+
+// checkWidth rejects problems wider than Config.MaxVars.
+func (s *Server) checkWidth(vars int) error {
+	if vars > s.cfg.MaxVars {
+		return fmt.Errorf("problem has %d variables; this server accepts at most %d", vars, s.cfg.MaxVars)
+	}
+	return nil
+}
+
+// deadlineFor is the deadline of a job submitted with timeoutMS:
+// DefaultTimeout when it is not positive, else at most MaxTimeout.
+func (s *Server) deadlineFor(timeoutMS int) time.Duration {
+	if timeoutMS <= 0 {
+		return s.cfg.DefaultTimeout
+	}
+	return capMS(timeoutMS, s.cfg.MaxTimeout)
+}
+
+// capMS converts a client's millisecond count to a duration of at most
+// limit. It compares in milliseconds before converting: past about
+// 9.2e12 ms, time.Duration(ms) * time.Millisecond wraps negative and
+// would slip under the cap.
+func capMS(ms int, limit time.Duration) time.Duration {
+	if int64(ms) > limit.Milliseconds() {
+		return limit
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // errShedding marks a request rejected at the shed watermark — the queue
@@ -573,15 +630,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, code, "%v", err)
 		return
 	}
-
-	// Cache first: identical (spec, config) requests never re-simulate.
-	if payload, ok := s.cache.Get(ps.key); ok {
-		s.cacheHits.Inc()
-		j := s.jobs.createDone(payload, true)
-		api.WriteJSON(w, http.StatusOK, api.Job{JobID: j.id, Status: api.StatusDone, Cached: true, Result: payload})
+	if ps.hit != nil {
+		s.respondJob(w, ps.hit)
 		return
 	}
-	s.cacheMisses.Inc()
 
 	j, created, err := s.reserveAndCreate(ps)
 	if err != nil {
@@ -600,8 +652,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.WaitMS > 0 {
-		wait := time.Duration(req.WaitMS) * time.Millisecond
-		timer := time.NewTimer(wait)
+		// No job outlives MaxTimeout, so neither does the wait.
+		timer := time.NewTimer(capMS(req.WaitMS, s.cfg.MaxTimeout))
 		defer timer.Stop()
 		select {
 		case <-j.done:
@@ -645,13 +697,10 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			items[i] = api.BatchItem{Code: code, Error: err.Error()}
 			continue
 		}
-		if payload, ok := s.cache.Get(ps.key); ok {
-			s.cacheHits.Inc()
-			j := s.jobs.createDone(payload, true)
-			items[i] = api.BatchItem{Code: http.StatusOK, JobID: j.id, Status: api.StatusDone, Cached: true, Result: payload}
+		if ps.hit != nil {
+			items[i] = api.BatchItem{Code: http.StatusOK, JobID: ps.hit.id, Status: api.StatusDone, Cached: true, Result: ps.hit.result}
 			continue
 		}
-		s.cacheMisses.Inc()
 		j, created, err := s.reserveAndCreate(ps)
 		if err != nil {
 			code := http.StatusTooManyRequests
@@ -695,7 +744,7 @@ func (s *Server) respondJob(w http.ResponseWriter, j *job) {
 	if v.Status == api.StatusDone || v.Status == api.StatusFailed || v.Status == api.StatusCanceled {
 		code = http.StatusOK
 	}
-	api.WriteJSON(w, code, v)
+	api.WriteJob(w, code, v)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -876,7 +925,7 @@ func (s *Server) runJob(j *job) {
 	s.recordWarm(j, res.Times)
 	s.journalResult(j, payload)
 	s.journalState(j, api.StatusDone, "")
-	s.cache.Put(j.key, payload)
+	s.cache.Put(j.key, payload, j.problem.N)
 	// Count and log before finish: a client woken by the done signal must
 	// find the record and the counter already there.
 	s.jobsCompleted.Inc()
