@@ -160,6 +160,11 @@ func (v Vec) HammingDistance(o Vec) int {
 	return c
 }
 
+// Word returns bits 64k..64k+63 of v as one word, bit i of the word being
+// variable 64k+i, so a caller can walk the set bits without unpacking
+// them. Words at or past Len are zero; k must lie in [0, MaxBits/64).
+func (v Vec) Word(k int) uint64 { return v.w[k] }
+
 // Ints returns the vector as a slice of 0/1 ints.
 func (v Vec) Ints() []int {
 	out := make([]int, v.n)

@@ -71,6 +71,124 @@ func vecKey(u []int64) string {
 	return string(b)
 }
 
+// words is a set of positions below bitvec.MaxBits, bit k%64 of word k/64
+// holding position k. Its helpers spell out all three words.
+type words [3]uint64
+
+// The helpers below assume three words; this fails to compile otherwise.
+var _ = [bitvec.MaxBits / 64]uint64(words{})
+
+func overlap(a, b *words) int {
+	return bits.OnesCount64(a[0]&b[0]) + bits.OnesCount64(a[1]&b[1]) + bits.OnesCount64(a[2]&b[2])
+}
+
+func disjoint(a, b *words) bool { return a[0]&b[0]|a[1]&b[1]|a[2]&b[2] == 0 }
+
+func either(a, b *words) words { return words{a[0] | b[0], a[1] | b[1], a[2] | b[2]} }
+
+// signs packs an integer vector of at most bitvec.MaxBits entries: its
+// support and nonzero count, and, when ternary (every entry in {-1,0,1}),
+// its +1 and −1 positions, which then describe it completely. A longer
+// vector keeps only its count and is never ternary.
+type signs struct {
+	supp, plus, minus words
+	nnz               int
+	ternary           bool
+}
+
+func packSigns(u []int64) signs {
+	if len(u) > bitvec.MaxBits {
+		return signs{nnz: NonZero(u)}
+	}
+	s := signs{ternary: true}
+	for k, v := range u {
+		if v == 0 {
+			continue
+		}
+		bit := uint64(1) << (uint(k) % 64)
+		s.supp[k/64] |= bit
+		s.nnz++
+		switch v {
+		case 1:
+			s.plus[k/64] |= bit
+		case -1:
+			s.minus[k/64] |= bit
+		default:
+			s.ternary = false
+		}
+	}
+	return s
+}
+
+// sumsTernary reports whether u + v, or u − v when neg, stays ternary for
+// ternary u and v: exactly when no position holds the same nonzero entry
+// in u and ±v. Every shared position then cancels.
+func (s *signs) sumsTernary(v *signs, neg bool) bool {
+	if neg {
+		return disjoint(&s.plus, &v.minus) && disjoint(&s.minus, &v.plus)
+	}
+	return disjoint(&s.plus, &v.plus) && disjoint(&s.minus, &v.minus)
+}
+
+// absorb replaces ternary u with u + v, or with u − v when neg, for
+// ternary v when sumsTernary accepts the combination: its support is
+// supp(u) xor supp(v), so its count is nnz(u) + nnz(v) − 2·overlap.
+func (s *signs) absorb(v *signs, neg bool) {
+	vp, vm := &v.plus, &v.minus
+	if neg {
+		vp, vm = vm, vp
+	}
+	s.nnz = 0
+	for w := range s.supp {
+		p := s.plus[w]&^v.supp[w] | vp[w]&^s.supp[w]
+		m := s.minus[w]&^v.supp[w] | vm[w]&^s.supp[w]
+		s.plus[w], s.minus[w], s.supp[w] = p, m, p|m
+		s.nnz += bits.OnesCount64(p | m)
+	}
+}
+
+// fill writes the entries of ternary s at the positions of span into u.
+func (s *signs) fill(u []int64, span *words) {
+	for w, x := range span {
+		for ; x != 0; x &= x - 1 {
+			k := 64*w + bits.TrailingZeros64(x)
+			switch bit := x & -x; {
+			case s.plus[w]&bit != 0:
+				u[k] = 1
+			case s.minus[w]&bit != 0:
+				u[k] = -1
+			default:
+				u[k] = 0
+			}
+		}
+	}
+}
+
+// signKey identifies a nonzero ternary vector up to sign: the +1 and −1
+// masks of Canonical(u), whose lowest set bit is +1.
+type signKey struct{ plus, minus words }
+
+// key returns the dedupe key of nonzero ternary s. It copies no entries.
+func (s *signs) key() signKey {
+	for w, x := range s.supp {
+		if x != 0 {
+			if s.minus[w]&(x&-x) != 0 {
+				return signKey{s.minus, s.plus}
+			}
+			break
+		}
+	}
+	return signKey{s.plus, s.minus}
+}
+
+// vector returns the canonical vector of length n the key stands for.
+func (k signKey) vector(n int) []int64 {
+	u := make([]int64, n)
+	span := either(&k.plus, &k.minus)
+	(&signs{plus: k.plus, minus: k.minus}).fill(u, &span)
+	return u
+}
+
 // Simplify is Algorithm 1 of the paper: greedy passes over ordered pairs
 // of basis vectors that replace u_i with u_i ± u_j whenever the
 // combination stays in {-1,0,1}^n and has strictly fewer nonzero entries.
@@ -83,13 +201,20 @@ func vecKey(u []int64) string {
 // u_i) must beat the count after any sum replacement. It returns a new
 // slice; the input is not modified.
 //
-// The scan works in place on cached nonzero counts and support bitmasks.
-// A pair whose supports overlap in at most half of u_j's support is
-// skipped without reading its entries: outside the overlap exactly one
-// operand is nonzero, so nnz(u_i ± u_j) ≥ nnz(u_i) + nnz(u_j) − 2·overlap
-// ≥ nnz(u_i) and neither combination can replace u_i. The rest are
-// combined into two reused scratch vectors, abandoning each combination
-// once it leaves {-1,0,1} or stops being sparser than u_i.
+// The scan works on each vector's packed signs. A pair whose supports
+// overlap in at most half of u_j's support is skipped without reading its
+// entries: outside the overlap exactly one operand is nonzero, so
+// nnz(u_i ± u_j) ≥ nnz(u_i) + nnz(u_j) − 2·overlap ≥ nnz(u_i) and neither
+// combination can replace u_i. When both operands are ternary the rest is
+// word arithmetic: a ternary sum or difference cancels exactly the
+// overlap, so its count is nnz(u_i) + nnz(u_j) − 2·overlap, below nnz(u_i)
+// by the filter, and since the overlap is nonempty at most one of the two
+// is ternary. A combination is then rejected only when it is zero or
+// leaves {-1,0,1}. Other pairs, such as those with the ±2 entries of a
+// rational basis, are combined entry by entry into two reused scratch
+// vectors, abandoning each combination once it leaves {-1,0,1} or stops
+// being sparser than u_i. Vectors longer than bitvec.MaxBits, which no
+// problem has, take the entry loop for every pair.
 func Simplify(basis [][]int64) [][]int64 {
 	out := make([][]int64, len(basis))
 	n := 0
@@ -97,23 +222,10 @@ func Simplify(basis [][]int64) [][]int64 {
 		out[i] = append([]int64(nil), u...)
 		n = max(n, len(u))
 	}
-	words := (n + 63) / 64
-	nnz := make([]int, len(out))
-	masks := make([]uint64, len(out)*words)
-	setSupport := func(i int) {
-		m := masks[i*words : (i+1)*words]
-		clear(m)
-		c := 0
-		for k, v := range out[i] {
-			if v != 0 {
-				m[k/64] |= 1 << (uint(k) % 64)
-				c++
-			}
-		}
-		nnz[i] = c
-	}
-	for i := range out {
-		setSupport(i)
+	wide := n > bitvec.MaxBits
+	sg := make([]signs, len(out))
+	for i, u := range out {
+		sg[i] = packSigns(u)
 	}
 	add := make([]int64, n)
 	sub := make([]int64, n)
@@ -122,16 +234,26 @@ func Simplify(basis [][]int64) [][]int64 {
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for i := 0; i < len(out); i++ {
-			mi := masks[i*words : (i+1)*words]
+			si := &sg[i]
 			for j := 0; j < len(out); j++ {
 				if i == j {
 					continue
 				}
-				overlap := 0
-				for w, x := range masks[j*words : (j+1)*words] {
-					overlap += bits.OnesCount64(x & mi[w])
+				sj := &sg[j]
+				if !wide && 2*overlap(&si.supp, &sj.supp) <= sj.nnz {
+					continue
 				}
-				if 2*overlap <= nnz[j] {
+				if si.ternary && sj.ternary {
+					// The overlap is nonempty, so at most one of the two
+					// combinations is ternary; equal supports cancel to zero.
+					neg := !si.sumsTernary(sj, false)
+					if neg && !si.sumsTernary(sj, true) || si.supp == sj.supp {
+						continue
+					}
+					span := either(&si.supp, &sj.supp)
+					si.absorb(sj, neg)
+					si.fill(out[i], &span)
+					improved = true
 					continue
 				}
 				ui, uj := out[i], out[j]
@@ -145,11 +267,11 @@ func Simplify(basis [][]int64) [][]int64 {
 					add[k], sub[k] = s, d
 					if s != 0 {
 						addNZ++
-						addOK = addOK && s >= -1 && s <= 1 && addNZ < nnz[i]
+						addOK = addOK && s >= -1 && s <= 1 && addNZ < si.nnz
 					}
 					if d != 0 {
 						subNZ++
-						subOK = subOK && d >= -1 && d <= 1 && subNZ < nnz[i]
+						subOK = subOK && d >= -1 && d <= 1 && subNZ < si.nnz
 					}
 					if !addOK && !subOK {
 						break
@@ -158,7 +280,7 @@ func Simplify(basis [][]int64) [][]int64 {
 				if !addOK && !subOK {
 					continue
 				}
-				best := nnz[i]
+				best := si.nnz
 				var repl []int64
 				if addOK && addNZ > 0 {
 					repl, best = add, addNZ
@@ -168,7 +290,7 @@ func Simplify(basis [][]int64) [][]int64 {
 				}
 				if repl != nil {
 					copy(ui, repl[:len(ui)])
-					setSupport(i)
+					*si = packSigns(ui)
 					improved = true
 				}
 			}
@@ -420,21 +542,24 @@ func BuildBasis(p *problems.Problem, opts BasisOptions) (*Basis, error) {
 		b.SimplifySaved = before - after
 	}
 
+	// Pools are deduplicated up to sign on packed canonical masks; one map
+	// serves every collect call, cleared in between.
 	nonTernary := false
+	seen := map[signKey]struct{}{}
 	collect := func(sets ...[][]int64) [][]int64 {
-		seen := map[string]bool{}
+		clear(seen)
 		var pool [][]int64
 		for _, set := range sets {
 			for _, u := range set {
-				if !IsTernary(u) {
+				s := packSigns(u)
+				if !s.ternary || s.nnz == 0 {
 					nonTernary = true
 					continue
 				}
-				c := Canonical(u)
-				k := vecKey(c)
-				if !seen[k] {
-					seen[k] = true
-					pool = append(pool, c)
+				k := s.key()
+				if _, dup := seen[k]; !dup {
+					seen[k] = struct{}{}
+					pool = append(pool, Canonical(u))
 				}
 			}
 		}
@@ -465,23 +590,18 @@ func BuildBasis(p *problems.Problem, opts BasisOptions) (*Basis, error) {
 	pool := union
 	if !opts.DisableSimplify {
 		simplifiedOnly := collect(work)
-		if len(simplifiedOnly) > 0 && len(simplifiedOnly) < len(union) {
-			if closureSize(p, simplifiedOnly, basisClosureCap) == closureSize(p, union, basisClosureCap) {
-				pool = simplifiedOnly
-			}
+		if len(simplifiedOnly) > 0 && len(simplifiedOnly) < len(union) &&
+			sameClosure(p, simplifiedOnly, union, basisClosureCap) {
+			pool = simplifiedOnly
 		}
 	}
 
 	// Fallback: the pool must both span enough directions and actually
 	// move the seed solution around the feasible space. If some rational
 	// basis vector was non-ternary (Definition 1 cannot express it as a
-	// transition Hamiltonian) or the expansion dry-run saturates at a
-	// single state, recover ternary kernel vectors directly.
-	needSearch := nonTernary || len(pool) < m
-	if !needSearch {
-		reach := expansionReach(p, pool, 2)
-		needSearch = reach <= 1
-	}
+	// transition Hamiltonian) or no pool move applies to the seed, recover
+	// ternary kernel vectors directly.
+	needSearch := nonTernary || len(pool) < m || !movesSeed(p, pool)
 	if needSearch {
 		// The searched pool supersedes the rational-basis pool entirely:
 		// the DFS enumerates every ternary kernel vector up to a support
@@ -514,10 +634,13 @@ func BuildBasis(p *problems.Problem, opts BasisOptions) (*Basis, error) {
 			if k > 0 && equalVectors(vecs, levels[k-1]) {
 				continue
 			}
-			cand := collect(vecs)
-			cl := closureSize(p, cand, basisClosureCap)
+			// A level is already a deduplicated canonical pool: the search
+			// reaches each ternary vector once and fixes its first nonzero
+			// entry to +1.
+			r, _ := closureWalk(p, bitvec.NewMoves(vecs), basisClosureCap)
+			cl := len(r.states)
 			if cl > bestClosure {
-				bestClosure, bestPool = cl, cand
+				bestClosure, bestPool = cl, vecs
 			}
 			if bestClosure >= basisClosureCap {
 				break
@@ -554,35 +677,40 @@ func maxSupportDefault(n int) int {
 
 // enrichSparsePairs returns the ternary pairwise sums/differences of pool
 // members whose support is at most maxSupport (and whose results stay
-// within it), capped at maxNew vectors. Compositions of sparse "switch"
-// moves are exactly the chipping material iterated simplification needs.
+// within it), capped at maxNew vectors, in canonical sign and deduplicated
+// against the pool and each other. Compositions of sparse "switch" moves
+// are exactly the chipping material iterated simplification needs. The
+// pool holds ternary vectors, as collect returns them; each combination
+// is tested on packed signs, and only the vectors kept are built.
 func enrichSparsePairs(pool [][]int64, maxSupport, maxNew int) [][]int64 {
-	var sparse [][]int64
+	var sparse []signs
+	seen := make(map[signKey]struct{}, len(pool))
 	for _, u := range pool {
-		if NonZero(u) <= maxSupport {
-			sparse = append(sparse, u)
+		s := packSigns(u)
+		if !s.ternary || s.nnz == 0 {
+			continue
 		}
-	}
-	seen := map[string]bool{}
-	for _, u := range pool {
-		seen[vecKey(Canonical(u))] = true
+		seen[s.key()] = struct{}{}
+		if s.nnz <= maxSupport {
+			sparse = append(sparse, s)
+		}
 	}
 	var out [][]int64
 	for i := 0; i < len(sparse) && len(out) < maxNew; i++ {
 		for j := i + 1; j < len(sparse) && len(out) < maxNew; j++ {
-			for _, sign := range []int64{1, -1} {
-				w := make([]int64, len(sparse[i]))
-				for k := range w {
-					w[k] = sparse[i][k] + sign*sparse[j][k]
-				}
-				if !IsTernary(w) || NonZero(w) > maxSupport {
+			for _, neg := range [...]bool{false, true} {
+				if !sparse[i].sumsTernary(&sparse[j], neg) {
 					continue
 				}
-				c := Canonical(w)
-				k := vecKey(c)
-				if !seen[k] {
-					seen[k] = true
-					out = append(out, c)
+				w := sparse[i]
+				w.absorb(&sparse[j], neg)
+				if w.nnz == 0 || w.nnz > maxSupport {
+					continue
+				}
+				k := w.key()
+				if _, dup := seen[k]; !dup {
+					seen[k] = struct{}{}
+					out = append(out, k.vector(len(pool[0])))
 				}
 			}
 		}
@@ -599,6 +727,57 @@ const basisClosureCap = 20000
 // seed, capped at maxStates, and returns the number of reached states.
 func closureSize(p *problems.Problem, pool [][]int64, maxStates int) int {
 	return problems.FeasibleClosureSize(p, pool, maxStates)
+}
+
+// sameClosure reports closureSize(p, sub, maxStates) == closureSize(p,
+// full, maxStates) for a pool sub whose moves all belong to full, with one
+// closure walk. A capped walk stops right after the insertion that brings
+// it to maxStates > 0, so it stops exactly when the closure holds at least
+// c = max(maxStates, 2) states, and then reports c. Let R be the closure
+// of sub; closure(full) ⊇ R.
+//   - If sub's walk stops, |R| ≥ c, so full's walk stops too and both
+//     report c.
+//   - Otherwise sub's walk reports |R| < c. If R is closed under every move
+//     of full, closure(full) = R and both report |R|. If some move leaves
+//     R, closure(full) holds more than |R| states, and full's walk reports
+//     either c or its larger size; both exceed |R|.
+//
+// So the pools agree exactly when sub's walk stops at the cap or no move of
+// full leaves R, and the check stops at the first move that does.
+func sameClosure(p *problems.Problem, sub, full [][]int64, maxStates int) bool {
+	r, capped := closureWalk(p, bitvec.NewMoves(sub), maxStates)
+	if capped {
+		return true
+	}
+	moves := bitvec.NewMoves(full)
+	for _, x := range r.states {
+		for k := range moves {
+			if y, ok := moves[k].Add(x); ok && !r.has(y) {
+				return false
+			}
+			if y, ok := moves[k].Sub(x); ok && !r.has(y) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// closureWalk walks the feasible-graph closure of the moves from the seed
+// breadth first, and reports whether it stopped at maxStates > 0 the way
+// closureSize does: right after the insertion that brings it there.
+func closureWalk(p *problems.Problem, moves []bitvec.Move, maxStates int) (r *reachSet, capped bool) {
+	r = newReachSet(p.Init)
+	full := func() bool { return maxStates > 0 && len(r.states) >= maxStates }
+	for i := 0; i < len(r.states); i++ {
+		x := r.states[i]
+		for k := range moves {
+			if r.add(moves[k].Add(x)) && full() || r.add(moves[k].Sub(x)) && full() {
+				return r, true
+			}
+		}
+	}
+	return r, false
 }
 
 // CoverageReport is the diagnostic BuildBasis users run to confirm
@@ -632,26 +811,17 @@ func VerifyCoverage(p *problems.Problem, opts BasisOptions) (CoverageReport, err
 	return rep, nil
 }
 
-// expansionReach dry-runs `rounds` rounds of the pool over the feasible
-// graph from the seed and returns how many states become reachable.
-func expansionReach(p *problems.Problem, pool [][]int64, rounds int) int {
-	moves := bitvec.NewMoves(pool)
-	reach := map[bitvec.Vec]bool{p.Init: true}
-	for r := 0; r < rounds; r++ {
-		var frontier []bitvec.Vec
-		for x := range reach {
-			frontier = append(frontier, x)
+// movesSeed reports whether some pool move applies to the seed, that is
+// whether the pool's expansion reaches any state beyond it.
+func movesSeed(p *problems.Problem, pool [][]int64) bool {
+	for _, u := range pool {
+		m := bitvec.NewMove(u)
+		if _, ok := m.Add(p.Init); ok {
+			return true
 		}
-		for _, x := range frontier {
-			for k := range moves {
-				if y, ok := moves[k].Add(x); ok {
-					reach[y] = true
-				}
-				if y, ok := moves[k].Sub(x); ok {
-					reach[y] = true
-				}
-			}
+		if _, ok := m.Sub(p.Init); ok {
+			return true
 		}
 	}
-	return len(reach)
+	return false
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"rasengan/internal/bitvec"
 	"rasengan/internal/linalg"
 	"rasengan/internal/problems"
 )
@@ -217,6 +218,25 @@ func FuzzSimplify(f *testing.F) {
 	f.Add(byte(64), byte(4), []byte{3, 1, 64, 3, 3, 3, 64, 1, 65, 4, 70, 0, 3, 4, 65, 1})
 	f.Add(byte(129), byte(6), []byte{0, 3, 127, 1, 128, 3, 129, 1, 0, 1, 128, 1, 5, 4, 129, 3, 127, 1, 200, 0})
 	f.Add(byte(191), byte(11), []byte{10, 3, 70, 1, 150, 3, 10, 1, 70, 3, 190, 4, 150, 1, 190, 1, 33, 2})
+	// Widths at the mask word boundaries, with entries clustered on a few
+	// positions around them so that pairs overlap: all-ternary rows run
+	// the mask step, a first row with ±2 entries the int64 step. Every one
+	// of these inputs is simplified.
+	rng := rand.New(rand.NewSource(33))
+	for _, n := range []int{63, 64, 65, 128, 129, 192} {
+		spots := []int{0, 1, 62, 63, 64, 65, 126, 127, 128, 129, n - 2, n - 1}
+		for _, mixed := range []bool{false, true} {
+			var data []byte
+			for k := 0; k < 40; k++ {
+				v := byte(1 + rng.Intn(3)) // −1, 0 or 1
+				if mixed && k%5 == 0 && rng.Intn(3) == 0 {
+					v = byte(4 * rng.Intn(2)) // −2 or 2, in the first row
+				}
+				data = append(data, byte(spots[rng.Intn(len(spots))]%n), v)
+			}
+			f.Add(byte(n-1), byte(5), data)
+		}
+	}
 	f.Fuzz(func(t *testing.T, nb, mb byte, data []byte) {
 		n, m := 1+int(nb)%192, 1+int(mb)%12
 		basis := make([][]int64, m)
@@ -249,6 +269,125 @@ func TestSimplifyAllocsBounded(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, func() { Simplify(basis) }); allocs > limit {
 			t.Errorf("%s: Simplify of %d vectors allocates %v times; want at most %v", name, len(basis), allocs, limit)
 		}
+	}
+}
+
+// TestBuildBasisAllocsBounded gates basis construction on the cells
+// whose pool decision runs: packed-mask dedupe and the mask step of
+// Simplify allocate per kept vector, never per pair or per key, so the
+// counts stay at what they are now plus a small margin.
+func TestBuildBasisAllocsBounded(t *testing.T) {
+	for _, c := range []struct {
+		label string
+		limit float64
+	}{{"F4", 290}, {"S4", 240}, {"K4", 270}} {
+		b, err := problems.ByLabel(c.label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := b.Generate(0)
+		if allocs := testing.AllocsPerRun(5, func() {
+			if _, err := BuildBasis(p, BasisOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > c.limit {
+			t.Errorf("%s: BuildBasis allocates %v times; want at most %v", c.label, allocs, c.limit)
+		}
+	}
+}
+
+// decisionPools returns the two pools BuildBasis weighs with
+// simplification on, built here with string-keyed dedupe: the simplified
+// basis alone, and the union re-simplified against its sparse pairs.
+func decisionPools(p *problems.Problem) (simplified, union [][]int64) {
+	collect := func(sets ...[][]int64) [][]int64 {
+		seen := map[string]bool{}
+		var pool [][]int64
+		for _, set := range sets {
+			for _, u := range set {
+				if !IsTernary(u) {
+					continue
+				}
+				c := Canonical(u)
+				if k := vecKey(c); !seen[k] {
+					seen[k] = true
+					pool = append(pool, c)
+				}
+			}
+		}
+		return pool
+	}
+	raw := linalg.Nullspace(p.C)
+	work := Simplify(raw)
+	union = collect(work, raw, linalg.KernelBasisInteger(p.C))
+	simp := Simplify(append(slices.Clone(union), enrichSparsePairs(union, 8, 4*len(union)+16)...))
+	return collect(work), collect(union, simp[:len(union)])
+}
+
+// TestSameClosureMatchesClosureSizes checks the one-walk pool decision
+// against the two capped walks it stands for, closureSize(S) ==
+// closureSize(U), for pools S ⊆ U: random sub-pools of random kernels, and
+// the decision pools of every suite cell, cases 0–2. Each pair runs under
+// caps that stop neither walk, one, or both.
+func TestSameClosureMatchesClosureSizes(t *testing.T) {
+	agree, differ, capped := 0, 0, 0
+	check := func(name string, p *problems.Problem, sub, full [][]int64) {
+		t.Helper()
+		clS, clU := closureSize(p, sub, 0), closureSize(p, full, 0)
+		for _, c := range []int{0, 1, 2, 3, clS - 1, clS, clS + 1, clU - 1, clU, clU + 1, basisClosureCap} {
+			want := closureSize(p, sub, c) == closureSize(p, full, c)
+			if got := sameClosure(p, sub, full, c); got != want {
+				t.Fatalf("%s cap %d (closures %d, %d): sameClosure = %v, want %v", name, c, clS, clU, got, want)
+			}
+			switch {
+			case c > 0 && clS >= c:
+				capped++
+			case want:
+				agree++
+			default:
+				differ++
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 300; trial++ {
+		rows, cols := 1+rng.Intn(3), 4+rng.Intn(8)
+		C := randomConstraints(rng, rows, cols)
+		x0 := bitvec.New(cols)
+		for i := 0; i < cols; i++ {
+			x0.Set(i, rng.Intn(2) == 1)
+		}
+		p := &problems.Problem{Name: "random", N: cols, C: C, B: C.MulVecBits(x0.Ints()), Init: x0}
+		full := TernaryKernelVectors(C, TernarySearchOptions{MaxVectors: 12})
+		if len(full) == 0 {
+			continue
+		}
+		var sub [][]int64
+		for _, u := range full {
+			if rng.Intn(2) == 0 {
+				sub = append(sub, u)
+			}
+		}
+		if len(sub) == 0 {
+			sub = full[:1]
+		}
+		check("random", p, sub, full)
+	}
+	for _, b := range problems.Suite() {
+		for c := 0; c <= 2; c++ {
+			p := b.Generate(c)
+			sub, full := decisionPools(p)
+			if len(sub) == 0 {
+				continue
+			}
+			if !slices.EqualFunc(full[:len(sub)], sub, slices.Equal[[]int64]) {
+				t.Fatalf("%s case %d: the union does not start with the simplified pool", b.Label(), c)
+			}
+			check(fmt.Sprintf("%s case %d", b.Label(), c), p, sub, full)
+		}
+	}
+	if agree == 0 || differ == 0 || capped == 0 {
+		t.Fatalf("%d agreeing, %d differing and %d capped decisions: the inputs no longer exercise every branch", agree, differ, capped)
 	}
 }
 

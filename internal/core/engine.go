@@ -232,24 +232,20 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 			continue
 		}
 		in, out := rt.bounds[segIdx], rt.bounds[segIdx+1]
+		var mass float64
 		var err error
 		if exact {
-			err = e.runCompiledSegmentExact(ctx, segIdx, seg, in, out)
+			mass, err = e.runCompiledSegmentExact(ctx, segIdx, seg, in, out)
 		} else {
-			err = e.runCompiledSegmentSampled(ctx, segIdx, seg, in, out, rng)
+			mass, err = e.runCompiledSegmentSampled(ctx, segIdx, seg, in, out, rng)
 		}
 		if err != nil {
 			return nil, err
 		}
 		e.LastSegmentsRun++
-		empty := true
-		for _, v := range out {
-			if v != 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
+		// Entries are ≥ 0 or NaN, so the mass before normalization is 0
+		// exactly when every entry is.
+		if mass == 0 {
 			// All mass purified away — the same failure mode and message as
 			// the map path.
 			e.LastTerminatedEarly = true
@@ -279,8 +275,9 @@ func (e *Executor) chargeExactSegment(segIdx int) {
 // each input state with nonzero weight through its operators on the clone's
 // CompiledState and merges the outcome probabilities into out; each out
 // slot takes at most one term per input state and input states run in
-// ascending order, so the merge needs no sorted support.
-func (e *Executor) runCompiledSegmentExact(ctx context.Context, segIdx int, seg []int, in, out []float64) error {
+// ascending order, so the merge needs no sorted support. It returns the
+// segment's mass before normalization.
+func (e *Executor) runCompiledSegmentExact(ctx context.Context, segIdx int, seg []int, in, out []float64) (float64, error) {
 	e.chargeExactSegment(segIdx)
 	clear(out)
 	rt := e.crt
@@ -294,7 +291,7 @@ func (e *Executor) runCompiledSegmentExact(ctx context.Context, segIdx int, seg 
 				continue
 			}
 			if err := ctx.Err(); err != nil {
-				return err
+				return 0, err
 			}
 			st.Reset(int32(xi))
 			for _, op := range seg {
@@ -307,16 +304,16 @@ func (e *Executor) runCompiledSegmentExact(ctx context.Context, segIdx int, seg 
 		}
 	}
 	e.purifyFlat(out)
-	normalizeFlat(out)
-	return nil
+	return normalizeFlat(out), nil
 }
 
 // runCompiledSegmentSampled mirrors runSegmentSampled for the compiled
 // engine's domain (no noise channels, so exactly one trajectory per state
 // and no readout flips — the same branch the map path takes with a
 // zero-noise device). Shot counts accumulate into a flat counts array with
-// the same rng consumption order as the map path.
-func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, seg []int, in, out []float64, rng *rand.Rand) error {
+// the same rng consumption order as the map path. It returns the segment's
+// mass before normalization.
+func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, seg []int, in, out []float64, rng *rand.Rand) (float64, error) {
 	shots := e.opts.shotsForSegment(segIdx)
 	rt := e.crt
 	counts := rt.counts
@@ -327,7 +324,7 @@ func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, se
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return 0, err
 		}
 		nx := int(float64(shots)*w + 0.5)
 		if nx == 0 {
@@ -358,13 +355,13 @@ func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, se
 		}
 	}
 	if !any {
-		return fmt.Errorf("core: %s: zero shots allocated in segment", e.p.Name)
+		return 0, fmt.Errorf("core: %s: zero shots allocated in segment", e.p.Name)
 	}
 	e.LastMeasuredShots += total
 	e.purifyFlat(out)
-	normalizeFlat(out)
+	mass := normalizeFlat(out)
 	e.lap(&e.clk.sample)
-	return nil
+	return mass, nil
 }
 
 // purifyFlat zeroes the infeasible states of a flat distribution, unless
@@ -380,22 +377,25 @@ func (e *Executor) purifyFlat(d []float64) {
 	}
 }
 
-// normalizeFlat rescales a flat distribution to unit mass. The sum runs in
-// ascending index order — identical to normalizeDist's sorted-key order,
-// since adding exact zeros does not perturb an IEEE accumulation.
-func normalizeFlat(d []float64) {
+// normalizeFlat rescales a flat distribution to unit mass and returns the
+// mass it had. The sum runs in ascending index order — identical to
+// normalizeDist's sorted-key order, since adding exact zeros does not
+// perturb an IEEE accumulation. A mass of exactly 1 skips the division:
+// every entry is then finite, and v/1 == v bitwise.
+func normalizeFlat(d []float64) float64 {
 	s := 0.0
 	for _, v := range d {
 		s += v
 	}
-	if s == 0 {
-		return
+	if s == 0 || s == 1 {
+		return s
 	}
 	for i, v := range d {
 		if v != 0 {
 			d[i] = v / s
 		}
 	}
+	return s
 }
 
 // flatToMap materializes a flat distribution as the map form the public API

@@ -384,3 +384,52 @@ func TestCompiledRunCancelled(t *testing.T) {
 		t.Fatal("cancelled context did not abort the compiled run")
 	}
 }
+
+// TestFinalTallyFromPlanMatchesMap checks the result tally read from the
+// compiled plan's tables against the one read from the map engine's
+// sorted distribution, on runs whose final distribution holds infeasible
+// states: a one-bit flip operator leaves the feasible set, and
+// purification is off. Both senses, bitwise.
+func TestFinalTallyFromPlanMatchesMap(t *testing.T) {
+	for _, sense := range []problems.Sense{problems.Minimize, problems.Maximize} {
+		p := *problems.FLP(1, 0)
+		p.Sense = sense
+		flip := make([]int64, p.N)
+		flip[0] = 1
+		ops := append([]Transition{{U: flip}}, mustBasisAndSchedule(t, &p)...)
+		opts := ExecOptions{DisablePurify: true}
+		compiled, err := NewExecutor(&p, ops, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compiled.plan == nil || compiled.plan.allFeasible {
+			t.Fatal("the compiled closure holds no infeasible state")
+		}
+		opts.Engine = EngineMap
+		mapped, err := NewExecutor(&p, ops, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times := make([]float64, len(ops))
+		for i := range times {
+			times[i] = 0.3 + 0.11*float64(i)
+		}
+		ctx := context.Background()
+		dist, flat, err := compiled.runDist(ctx, times, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mdist, mflat, err := mapped.runDist(ctx, times, nil)
+		if err != nil || mflat != nil {
+			t.Fatalf("map engine: flat %v, err %v", mflat, err)
+		}
+		got := tallyFinal(&p, compiled.plan, dist, flat)
+		want := tallyFinal(&p, nil, mdist, nil)
+		if got != want {
+			t.Fatalf("%v: plan tally %+v, map tally %+v", sense, got, want)
+		}
+		if got.inRate >= 1 {
+			t.Fatalf("%v: in-constraints mass %v; the run kept no infeasible state", sense, got.inRate)
+		}
+	}
+}

@@ -386,24 +386,31 @@ func (e *Executor) Run(t []float64, rng *rand.Rand) (map[bitvec.Vec]float64, err
 // cancellation the context's error is returned and the partial
 // distribution is discarded.
 func (e *Executor) RunCtx(ctx context.Context, t []float64, rng *rand.Rand) (map[bitvec.Vec]float64, error) {
+	dist, _, err := e.runDist(ctx, t, rng)
+	return dist, err
+}
+
+// runDist is RunCtx that also returns, on the compiled engine, the flat
+// distribution over the plan's states that the map was built from. The
+// flat slice aliases the executor's buffers until its next run; on the map
+// engine it is nil.
+func (e *Executor) runDist(ctx context.Context, t []float64, rng *rand.Rand) (map[bitvec.Vec]float64, []float64, error) {
 	if len(t) != len(e.ops) {
-		return nil, fmt.Errorf("core: %d times for %d operators", len(t), len(e.ops))
+		return nil, nil, fmt.Errorf("core: %d times for %d operators", len(t), len(e.ops))
 	}
 	var dist map[bitvec.Vec]float64
+	var flat []float64
+	var err error
 	if e.plan != nil {
-		flat, err := e.runCompiled(ctx, t, rng)
-		if err != nil {
-			return nil, err
+		if flat, err = e.runCompiled(ctx, t, rng); err != nil {
+			return nil, nil, err
 		}
 		dist = e.flatToMap(flat)
-	} else {
-		var err error
-		if dist, err = e.runMap(ctx, t, rng); err != nil {
-			return nil, err
-		}
+	} else if dist, err = e.runMap(ctx, t, rng); err != nil {
+		return nil, nil, err
 	}
 	e.lap(&e.clk.sample)
-	return dist, nil
+	return dist, flat, nil
 }
 
 // runMap is the map engine's segment loop.

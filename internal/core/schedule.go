@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"rasengan/internal/bitvec"
@@ -100,17 +101,15 @@ func BuildSchedule(p *problems.Problem, b *Basis, opts ScheduleOptions) *Schedul
 	// One reachable set serves both chains. An operator is pruned only
 	// when applying it would add no state, so skipping it leaves the set
 	// exactly as applying it would: the pruned chain's reach always equals
-	// the unpruned chain's, and the count expandInto returns decides
-	// pruning.
+	// the unpruned chain's, and the count expand returns decides pruning.
 	sched := &Schedule{}
-	reach := map[bitvec.Vec]bool{p.Init: true}
-	consecutiveNoop := 0
 	moves := bitvec.NewMoves(pool)
-
 	if opts.SparsestFirst {
 		buildSparsestFirst(sched, p, pool, moves, maxOps, maxStates)
 		return sched
 	}
+	reach := newReachSet(p.Init)
+	consecutiveNoop := 0
 
 buildLoop:
 	for r := 0; r < rounds; r++ {
@@ -118,14 +117,14 @@ buildLoop:
 			if len(sched.AllOps) >= maxOps {
 				break buildLoop
 			}
-			if len(reach) >= maxStates {
+			if len(reach.states) >= maxStates {
 				sched.TruncatedCoverage = true
 				break buildLoop
 			}
 			tr := Transition{U: u}
 			sched.AllOps = append(sched.AllOps, tr)
-			grew := expandInto(reach, &moves[k])
-			sched.TraceAll = append(sched.TraceAll, len(reach))
+			grew := reach.expand(&moves[k])
+			sched.TraceAll = append(sched.TraceAll, len(reach.states))
 			if grew == 0 && !opts.DisablePrune {
 				sched.PrunedCount++
 				consecutiveNoop++
@@ -137,14 +136,10 @@ buildLoop:
 			}
 			consecutiveNoop = 0
 			sched.Ops = append(sched.Ops, tr)
-			sched.TraceOps = append(sched.TraceOps, len(reach))
+			sched.TraceOps = append(sched.TraceOps, len(reach.states))
 		}
 	}
-
-	for x := range reach {
-		sched.Reachable = append(sched.Reachable, x)
-	}
-	sortVecs(sched.Reachable)
+	sched.Reachable = reach.sorted()
 	return sched
 }
 
@@ -154,18 +149,18 @@ buildLoop:
 // expands or a budget trips. Trying a vector that expands nothing leaves
 // the reach unchanged.
 func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, moves []bitvec.Move, maxOps, maxStates int) {
-	reach := map[bitvec.Vec]bool{p.Init: true}
-	for len(sched.Ops) < maxOps && len(reach) < maxStates {
+	reach := newReachSet(p.Init)
+	for len(sched.Ops) < maxOps && len(reach.states) < maxStates {
 		applied := false
 		for k, u := range pool {
-			if expandInto(reach, &moves[k]) == 0 {
+			if reach.expand(&moves[k]) == 0 {
 				continue
 			}
 			tr := Transition{U: u}
 			sched.Ops = append(sched.Ops, tr)
 			sched.AllOps = append(sched.AllOps, tr)
-			sched.TraceOps = append(sched.TraceOps, len(reach))
-			sched.TraceAll = append(sched.TraceAll, len(reach))
+			sched.TraceOps = append(sched.TraceOps, len(reach.states))
+			sched.TraceAll = append(sched.TraceAll, len(reach.states))
 			applied = true
 			break
 		}
@@ -173,36 +168,97 @@ func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, mo
 			break
 		}
 	}
-	if len(reach) >= maxStates {
+	if len(reach.states) >= maxStates {
 		sched.TruncatedCoverage = true
 	}
-	for x := range reach {
-		sched.Reachable = append(sched.Reachable, x)
-	}
-	sortVecs(sched.Reachable)
+	sched.Reachable = reach.sorted()
 }
 
-// expandInto adds every state reachable from the set by one ±u move and
+// reachSet is a reachable set of feasible-graph walks (the dry run, the
+// basis closure): its states in insertion order, which walks visit as a
+// slice, and an open-addressed table of their indices for membership,
+// kept at most half full and probed linearly from a multiplicative hash
+// of the state's words.
+type reachSet struct {
+	states []bitvec.Vec
+	slots  []int32 // index+1 into states; 0 marks an empty slot
+	shift  uint    // 64 − log2(len(slots))
+}
+
+func newReachSet(seed bitvec.Vec) *reachSet {
+	r := &reachSet{slots: make([]int32, 64), shift: 64 - 6}
+	r.add(seed, true)
+	return r
+}
+
+// find returns the slot holding y, or the empty slot where y belongs.
+func (r *reachSet) find(y bitvec.Vec) (slot int, held bool) {
+	h := (y.Word(0) ^ bits.RotateLeft64(y.Word(1), 21) ^ bits.RotateLeft64(y.Word(2), 42)) * 0x9E3779B97F4A7C15
+	mask := len(r.slots) - 1
+	for i := int(h >> r.shift); ; i = (i + 1) & mask {
+		s := r.slots[i]
+		if s == 0 {
+			return i, false
+		}
+		if r.states[s-1] == y {
+			return i, true
+		}
+	}
+}
+
+// has reports whether the set holds y.
+func (r *reachSet) has(y bitvec.Vec) bool {
+	_, held := r.find(y)
+	return held
+}
+
+// add appends y, the result of a move that is valid when ok, unless the
+// set holds it, and reports whether it did.
+func (r *reachSet) add(y bitvec.Vec, ok bool) bool {
+	if !ok {
+		return false
+	}
+	i, held := r.find(y)
+	if held {
+		return false
+	}
+	r.states = append(r.states, y)
+	r.slots[i] = int32(len(r.states))
+	if 2*len(r.states) > len(r.slots) {
+		r.slots = make([]int32, 2*len(r.slots))
+		r.shift--
+		for k, x := range r.states {
+			j, _ := r.find(x)
+			r.slots[j] = int32(k + 1)
+		}
+	}
+	return true
+}
+
+// expand adds every state reachable from the set by one ±u move and
 // returns how many it added. The added states need no dedupe: each has
 // exactly one source and direction, since x+u = x′+u forces x = x′ and
-// x+u = x′−u would need x′ = x+2u, which is not binary.
-func expandInto(reach map[bitvec.Vec]bool, u *bitvec.Move) int {
-	var add []bitvec.Vec
-	for x := range reach {
-		if y, ok := u.Add(x); ok && !reach[y] {
-			add = append(add, y)
-		}
-		if y, ok := u.Sub(x); ok && !reach[y] {
-			add = append(add, y)
-		}
+// x+u = x′−u would need x′ = x+2u, which is not binary. So each is
+// appended as found, and the walk covers only the states held before it
+// began.
+func (r *reachSet) expand(u *bitvec.Move) int {
+	n := len(r.states)
+	for _, x := range r.states[:n] {
+		r.add(u.Add(x))
+		r.add(u.Sub(x))
 	}
-	for _, y := range add {
-		reach[y] = true
-	}
-	return len(add)
+	return len(r.states) - n
 }
 
-// sortVecs sorts v into Compare order. Callers pass distinct map keys, so
+// sorted sorts the states into Compare order and returns them. It
+// reorders them under the table, so the set is not used afterwards.
+func (r *reachSet) sorted() []bitvec.Vec {
+	sortVecs(r.states)
+	r.slots = nil
+	return r.states
+}
+
+// sortVecs sorts v into Compare order. Callers pass distinct states, so
 // the unstable sort has a single possible result.
 func sortVecs(v []bitvec.Vec) {
 	slices.SortFunc(v, bitvec.Vec.Compare)

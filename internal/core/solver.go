@@ -596,7 +596,6 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 		}
 	}
 	res := outcomes[best].res
-	lastGood := outcomes[best].ex.LastDistribution()
 	evalCount := 0
 	quantumNS := 0.0
 	for _, o := range outcomes {
@@ -616,7 +615,7 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 		finalRng = parallel.NewRand(opts.Seed+7, uint64(len(starts)))
 	}
 	sp = rec.Start(obs.StageFinalEval, mainTrack, root)
-	finalDist, err := exec.RunCtx(ctx, res.X, finalRng)
+	finalDist, flat, err := exec.runDist(ctx, res.X, finalRng)
 	exec.flushStages(sp, rec.Now())
 	rec.End(sp)
 	quantumNS += exec.LastQuantumNS
@@ -624,32 +623,28 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
-		if lastGood == nil {
+		// Only a failed final evaluation pays for the winning start's
+		// last distribution.
+		if finalDist = outcomes[best].ex.LastDistribution(); finalDist == nil {
 			return nil, fmt.Errorf("core: %s: optimization never produced a feasible distribution: %w", p.Name, err)
 		}
-		finalDist = lastGood
 	}
 	rawRate := 1.0
 	if exec.LastMeasuredShots > 0 {
 		rawRate = float64(exec.LastFeasibleShots) / float64(exec.LastMeasuredShots)
 	}
-	// Accumulate in sorted key order: this value is part of the
-	// deterministic wire payload, and map-iteration float addition would
-	// make byte-identical repeat solves diverge at the last ulp.
-	inRate := 0.0
-	for _, x := range sortedDistKeys(finalDist) {
-		if p.Feasible(x) {
-			inRate += finalDist[x]
-		}
-	}
-	if inRate > 1 {
-		inRate = 1 // guard float accumulation past unity
+	tally := tallyFinal(p, exec.plan, finalDist, flat)
+	if !tally.bestSet {
+		return nil, fmt.Errorf("core: %s: final distribution has no feasible state", p.Name)
 	}
 
 	out := &Result{
 		Problem:             p,
+		BestSolution:        tally.bestX,
+		BestValue:           tally.best,
+		Expectation:         tally.expectation,
 		Distribution:        finalDist,
-		InConstraintsRate:   inRate,
+		InConstraintsRate:   min(tally.inRate, 1), // guard float accumulation past unity
 		RawFeasibleShotRate: rawRate,
 		NumParams:           exec.NumParams(),
 		NumSegments:         exec.NumSegments(),
@@ -661,31 +656,6 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 		Basis:               basis,
 		Schedule:            sched,
 		Times:               res.X,
-	}
-	out.Expectation = 0
-	bestSet := false
-	for _, x := range sortedDistKeys(finalDist) {
-		pr := finalDist[x]
-		v := p.Objective(x)
-		out.Expectation += pr * v
-		if p.Feasible(x) {
-			better := !bestSet
-			if bestSet {
-				if p.Sense == problems.Minimize {
-					better = v < out.BestValue
-				} else {
-					better = v > out.BestValue
-				}
-			}
-			if better {
-				out.BestValue = v
-				out.BestSolution = x
-				bestSet = true
-			}
-		}
-	}
-	if !bestSet {
-		return nil, fmt.Errorf("core: %s: final distribution has no feasible state", p.Name)
 	}
 
 	classicalPerEval := 2.0
@@ -711,6 +681,66 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 		}
 	}
 	return out, nil
+}
+
+// tallyFinal folds a final distribution into a finalTally in ascending
+// Compare order: these values are part of the deterministic wire payload,
+// and map-iteration float addition would make byte-identical repeat
+// solves diverge at the last ulp. A compiled final evaluation (flat
+// non-nil) is read with the plan's tables, whose state index order is
+// Compare order and which hold Feasible and ScoreMin per state; its zero
+// entries are the map's absent keys. Otherwise, on the map engine or the
+// fallback distribution, the map is read in sorted key order.
+func tallyFinal(p *problems.Problem, plan *compiledPlan, dist map[bitvec.Vec]float64, flat []float64) finalTally {
+	t := finalTally{sense: p.Sense}
+	if flat != nil {
+		for i, pr := range flat {
+			if pr != 0 {
+				t.add(plan.space.StateAt(int32(i)), pr, plan.feasible[i], plan.energy[i])
+			}
+		}
+		return t
+	}
+	for _, x := range sortedDistKeys(dist) {
+		t.add(x, dist[x], p.Feasible(x), p.ScoreMin(x))
+	}
+	return t
+}
+
+// finalTally accumulates a Result's in-constraints mass, expectation and
+// best feasible state over a final distribution, fed one state at a time
+// in ascending Compare order.
+type finalTally struct {
+	sense                     problems.Sense
+	inRate, expectation, best float64
+	bestX                     bitvec.Vec
+	bestSet                   bool
+}
+
+// add folds in state x with probability pr, its feasibility and its
+// ScoreMin value. The objective is ScoreMin under Minimize and its
+// negation under Maximize, exactly, since negation is exact.
+func (t *finalTally) add(x bitvec.Vec, pr float64, feasible bool, scoreMin float64) {
+	v := scoreMin
+	if t.sense == problems.Maximize {
+		v = -v
+	}
+	t.expectation += pr * v
+	if !feasible {
+		return
+	}
+	t.inRate += pr
+	better := !t.bestSet
+	if t.bestSet {
+		if t.sense == problems.Minimize {
+			better = v < t.best
+		} else {
+			better = v > t.best
+		}
+	}
+	if better {
+		t.best, t.bestX, t.bestSet = v, x, true
+	}
 }
 
 // ScheduleParamCount reports how many evolution-time parameters a solve

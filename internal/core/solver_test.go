@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rasengan/internal/device"
 	"rasengan/internal/optimize"
+	"rasengan/internal/parallel"
 	"rasengan/internal/problems"
 )
 
@@ -320,5 +323,48 @@ func TestSolveShotGrowthPastInt64(t *testing.T) {
 	}
 	if !p.Feasible(res.BestSolution) {
 		t.Error("shot-growth solve infeasible")
+	}
+}
+
+// TestSolveFallsBackToWinningStartDistribution pins a sampled solve whose
+// final evaluation fails: F1 case 0 on kyiv with 4 shots per segment and
+// seed 12 loses every final shot to purification. The result must carry
+// the winning start's last successful distribution, recomputed here by
+// replaying that start's optimizer on a fresh executor clone.
+func TestSolveFallsBackToWinningStartDistribution(t *testing.T) {
+	ctx := context.Background()
+	p := problems.FLP(1, 0)
+	// MaxIter 9 runs one start, at π/4 everywhere, on stream 0 of the
+	// seed; the final evaluation draws from stream 1.
+	opts := Options{MaxIter: 9, Seed: 12, Exec: ExecOptions{Shots: 4, OpsPerSegment: 1, Device: device.Kyiv(), Trajectories: 1}}
+	res, err := Solve(ctx, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := NewExecutor(p, res.Schedule.Ops, opts.Exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.RunCtx(ctx, res.Times, parallel.NewRand(opts.Seed+7, 1)); err == nil {
+		t.Fatal("the pinned final evaluation succeeds; the test no longer covers the fallback")
+	}
+
+	ex := exec.Clone()
+	rng := parallel.NewRand(opts.Seed+7, 0)
+	objective := func(x []float64) float64 {
+		e, err := ex.RunEnergyCtx(ctx, x, rng)
+		if err != nil {
+			return math.Inf(1)
+		}
+		return e
+	}
+	replay := optimize.Minimize(opts.Optimizer, objective, constVec(ex.NumParams(), math.Pi/4),
+		optimize.Options{MaxIter: opts.MaxIter, Step: math.Pi / 8, Seed: opts.Seed, Ctx: ctx})
+	if !slices.Equal(replay.X, res.Times) {
+		t.Fatalf("the replayed start ends at %v, the solve at %v", replay.X, res.Times)
+	}
+	want := ex.LastDistribution()
+	if len(want) == 0 || !maps.Equal(res.Distribution, want) {
+		t.Fatalf("result distribution %v, want the winning start's last %v", res.Distribution, want)
 	}
 }

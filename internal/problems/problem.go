@@ -8,6 +8,7 @@ package problems
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rasengan/internal/bitvec"
 	"rasengan/internal/linalg"
@@ -75,12 +76,28 @@ func (p *Problem) ScoreMin(x bitvec.Vec) float64 {
 	return v
 }
 
-// Feasible reports whether C·x = b.
+// Feasible reports whether C·x = b. Each row is summed over the set bits
+// of x, word by word, and the check stops at the first row that misses
+// its right-hand side; it allocates nothing. Validate's row bound keeps
+// every sum inside int64.
 func (p *Problem) Feasible(x bitvec.Vec) bool {
 	if x.Len() != p.N {
 		return false
 	}
-	return p.C.SatisfiesEq(x.Ints(), p.B)
+	cols := p.C.Cols
+	for r, b := range p.B {
+		row := p.C.Data[r*cols : (r+1)*cols]
+		var s int64
+		for k := 0; 64*k < p.N; k++ {
+			for w := x.Word(k); w != 0; w &= w - 1 {
+				s += row[64*k+bits.TrailingZeros64(w)]
+			}
+		}
+		if s != b {
+			return false
+		}
+	}
+	return true
 }
 
 // maxRowMagnitude bounds Σ_c |C[r][c]| + |b[r]| for every constraint row

@@ -2,6 +2,7 @@ package problems
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"rasengan/internal/bitvec"
@@ -244,6 +245,91 @@ func TestConstraintTopologyAcrossSuite(t *testing.T) {
 		s := ConstraintTopology(p)
 		if s.AverageDegree <= 0 {
 			t.Errorf("%s: degenerate constraint graph", p.Name)
+		}
+	}
+}
+
+// randomRowProblem returns a problem of n variables whose rows sum random
+// coefficients over scattered columns, with b = C·x0 for a random x0, so
+// that x0 is feasible and its one-bit neighbours mostly are not.
+func randomRowProblem(rng *rand.Rand, n, rows int) (*Problem, bitvec.Vec) {
+	C := linalg.NewIntMat(rows, n)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < n; c++ {
+			if rng.Intn(3) == 0 {
+				C.Set(r, c, int64(rng.Intn(7)-3))
+			}
+		}
+	}
+	x0 := bitvec.New(n)
+	for i := 0; i < n; i++ {
+		x0.Set(i, rng.Intn(2) == 1)
+	}
+	return &Problem{N: n, C: C, B: C.MulVecBits(x0.Ints()), Init: x0}, x0
+}
+
+// TestFeasibleMatchesSatisfiesEq compares the word walk of Feasible with
+// linalg's C·x = b on vectors whose widths cross the 64- and 128-bit word
+// boundaries, and on every suite cell's seed and its one-bit neighbours.
+func TestFeasibleMatchesSatisfiesEq(t *testing.T) {
+	check := func(p *Problem, x bitvec.Vec) bool {
+		t.Helper()
+		want := p.C.SatisfiesEq(x.Ints(), p.B)
+		if got := p.Feasible(x); got != want {
+			t.Fatalf("%s: Feasible(%v) = %v, want %v", p.Name, x, got, want)
+		}
+		return want
+	}
+	rng := rand.New(rand.NewSource(31))
+	feasible, infeasible := 0, 0
+	for _, n := range []int{1, 7, 63, 64, 65, 127, 128, 129, 191, 192} {
+		for trial := 0; trial < 6; trial++ {
+			p, x0 := randomRowProblem(rng, n, 1+rng.Intn(6))
+			check(p, x0)
+			for i := 0; i < n; i++ {
+				x := x0
+				x.Flip(i)
+				if check(p, x) {
+					feasible++
+				} else {
+					infeasible++
+				}
+			}
+		}
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("%d feasible and %d infeasible neighbours: the generator no longer exercises both answers", feasible, infeasible)
+	}
+	for _, b := range Suite() {
+		p := b.Generate(0)
+		check(p, p.Init)
+		for i := 0; i < p.N; i++ {
+			check(p, p.Init.WithBit(i, !p.Init.Bit(i)))
+		}
+	}
+	// A vector of another width is never feasible.
+	p := paperProblem()
+	if p.Feasible(bitvec.New(p.N + 1)) {
+		t.Fatal("a wider vector passed Feasible")
+	}
+}
+
+// TestFeasibleZeroAllocs gates Feasible: it sums rows over set bits and
+// allocates nothing, feasible or not.
+func TestFeasibleZeroAllocs(t *testing.T) {
+	for _, label := range []string{"F4", "G4"} {
+		b, err := ByLabel(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := b.Generate(0)
+		off := p.Init.WithBit(0, !p.Init.Bit(0))
+		if allocs := testing.AllocsPerRun(100, func() {
+			if !p.Feasible(p.Init) || p.Feasible(off) {
+				t.Fatal("unexpected feasibility")
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Feasible allocates %v times per call pair; want 0", label, allocs)
 		}
 	}
 }
