@@ -246,6 +246,26 @@ func NewMove(u []int64) Move {
 	return m
 }
 
+// NewMoveMasks returns the move of the length-n vector with +1 entries
+// at the set bits of plus and −1 entries at those of minus, bit i%64 of
+// word i/64 standing for entry i. It panics when the masks overlap or set
+// a bit at or past n, which indicates a programming error in the caller.
+func NewMoveMasks(n int, plus, minus [words]uint64) Move {
+	if n < 0 || n > MaxBits {
+		panic(fmt.Sprintf("bitvec: move length %d out of range [0,%d]", n, MaxBits))
+	}
+	for i := range plus {
+		valid := ^uint64(0)
+		if k := n - 64*i; k < 64 {
+			valid = 1<<uint(max(k, 0)) - 1
+		}
+		if plus[i]&minus[i] != 0 || (plus[i]|minus[i])&^valid != 0 {
+			panic(fmt.Sprintf("bitvec: move masks invalid for length %d", n))
+		}
+	}
+	return Move{plus: plus, minus: minus, n: n}
+}
+
 // Add returns x + u over the integers. The second result is false when
 // some component leaves {0,1}, i.e. the move is not a valid binary
 // transition (the case the transition Hamiltonian annihilates).
@@ -283,6 +303,10 @@ func NewMoves(us [][]int64) []Move {
 // Compare orders vectors first by length then lexicographically by bit
 // index (bit 0 most significant for ordering purposes). It returns -1, 0,
 // or +1 and gives experiments a deterministic iteration order.
+//
+// The lowest differing bit decides, and it is the lowest set bit of the
+// first nonzero XOR word: bits at or above the length are always zero,
+// so they never differ.
 func (v Vec) Compare(o Vec) int {
 	if v.n != o.n {
 		if v.n < o.n {
@@ -290,10 +314,9 @@ func (v Vec) Compare(o Vec) int {
 		}
 		return 1
 	}
-	for i := 0; i < v.n; i++ {
-		a, b := v.Bit(i), o.Bit(i)
-		if a != b {
-			if b {
+	for i := range v.w {
+		if d := v.w[i] ^ o.w[i]; d != 0 {
+			if o.w[i]&(d&-d) != 0 {
 				return -1
 			}
 			return 1

@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -77,6 +78,50 @@ func TestSignedMovesMatchReference(t *testing.T) {
 	}
 }
 
+// TestStepMatchesAddSub checks Set.Step against Add, then Sub, and the
+// set's own Add, at lengths on both sides of every word boundary, the zero
+// move included.
+func TestStepMatchesAddSub(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	dirs := map[int]int{}
+	for _, n := range []int{1, 7, 63, 64, 65, 127, 128, 129, MaxBits} {
+		got, want := NewSet(New(n)), NewSet(New(n))
+		for trial := 0; trial < 300; trial++ {
+			v := randomVec(rng, n)
+			d := randomMove(rng, v)
+			switch trial % 4 {
+			case 0:
+				for i := range d {
+					d[i] = int64(rng.Intn(3) - 1)
+				}
+			case 1:
+				clear(d)
+			}
+			m := NewMove(d)
+			wantI, wantDir, wantAdded := int32(0), 0, false
+			y, ok := m.Add(v)
+			if ok {
+				wantDir = 1
+			} else if y, ok = m.Sub(v); ok {
+				wantDir = -1
+			}
+			if ok {
+				wantI, wantAdded = want.Add(y)
+			}
+			if i, dir, added := got.Step(v, &m); i != wantI || dir != wantDir || added != wantAdded {
+				t.Fatalf("n=%d Step(%v, %v) = %d,%d,%v; want %d,%d,%v", n, v, d, i, dir, added, wantI, wantDir, wantAdded)
+			}
+			dirs[wantDir]++
+		}
+		if !slices.Equal(got.States(), want.States()) {
+			t.Fatalf("n=%d: Step and Add built different sets", n)
+		}
+	}
+	if dirs[1] == 0 || dirs[-1] == 0 || dirs[0] == 0 {
+		t.Fatalf("directions seen %v: the moves no longer exercise every outcome", dirs)
+	}
+}
+
 func TestNewMoveRejectsNonTernary(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -120,5 +165,49 @@ func TestSignedMovesZeroAllocs(t *testing.T) {
 	_ = sink
 	if allocs != 0 {
 		t.Fatalf("Move.Add/Sub allocate %v times per run; want 0", allocs)
+	}
+}
+
+// TestNewMoveMasksMatchesNewMove checks the mask constructor against
+// NewMove on random vectors at widths across the word boundaries, and
+// that it rejects overlapping masks and bits past the length.
+func TestNewMoveMasksMatchesNewMove(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 129, 192} {
+		for trial := 0; trial < 20; trial++ {
+			u := make([]int64, n)
+			var plus, minus [words]uint64
+			for i := range u {
+				switch rng.Intn(3) {
+				case 1:
+					u[i] = 1
+					plus[i/64] |= 1 << (i % 64)
+				case 2:
+					u[i] = -1
+					minus[i/64] |= 1 << (i % 64)
+				}
+			}
+			if got, want := NewMoveMasks(n, plus, minus), NewMove(u); got != want {
+				t.Fatalf("n=%d: NewMoveMasks(%v) = %+v, want %+v", n, u, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		n           int
+		plus, minus [words]uint64
+	}{
+		{10, [words]uint64{1}, [words]uint64{1}},
+		{10, [words]uint64{1 << 10}, [words]uint64{}},
+		{64, [words]uint64{0, 1}, [words]uint64{}},
+		{130, [words]uint64{}, [words]uint64{0, 0, 1 << 2}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMoveMasks(%d, %v, %v) did not panic", c.n, c.plus, c.minus)
+				}
+			}()
+			NewMoveMasks(c.n, c.plus, c.minus)
+		}()
 	}
 }

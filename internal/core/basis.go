@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"rasengan/internal/bitvec"
@@ -60,8 +59,6 @@ func Canonical(u []int64) []int64 {
 	}
 	return u
 }
-
-func equalVectors(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
 
 func vecKey(u []int64) string {
 	b := make([]byte, len(u))
@@ -181,12 +178,11 @@ func (s *signs) key() signKey {
 	return signKey{s.plus, s.minus}
 }
 
-// vector returns the canonical vector of length n the key stands for.
-func (k signKey) vector(n int) []int64 {
-	u := make([]int64, n)
+// fill writes the canonical vector the key stands for into u, which holds
+// zeros.
+func (k *signKey) fill(u []int64) {
 	span := either(&k.plus, &k.minus)
 	(&signs{plus: k.plus, minus: k.minus}).fill(u, &span)
-	return u
 }
 
 // Simplify is Algorithm 1 of the paper: greedy passes over ordered pairs
@@ -215,91 +211,146 @@ func (k signKey) vector(n int) []int64 {
 // vectors, abandoning each combination once it leaves {-1,0,1} or stops
 // being sparser than u_i. Vectors longer than bitvec.MaxBits, which no
 // problem has, take the entry loop for every pair.
-func Simplify(basis [][]int64) [][]int64 {
-	out := make([][]int64, len(basis))
-	n := 0
-	for i, u := range basis {
-		out[i] = append([]int64(nil), u...)
+//
+// From the second pass on, a row rescans only the pairs whose operands
+// changed since the pair was last checked: a pair's verdict depends on
+// its two vectors alone, and a checked pair that replaced nothing would
+// replace nothing again. u_i changes only within row i, right after the
+// check that replaced it, and between two scans of row i every other row
+// is scanned exactly once. So row i revisits pair (i, j) exactly when its
+// previous scan replaced u_i at position j or later, when its current
+// scan has already replaced u_i, or when row j's latest scan replaced
+// u_j; the rows of that last kind are read from a per-row flag.
+func Simplify(basis [][]int64) [][]int64 { return simplifyWith(basis, nil) }
+
+// simplifyWith returns Simplify(basis ++ the vectors of helpers)[:len(basis)]
+// for ternary basis and helper vectors, without building the helpers'
+// vectors: every pair of two ternary vectors is combined on their packed
+// signs alone, so a helper is kept only as its signs. With no helpers the
+// basis may hold any vectors.
+func simplifyWith(basis [][]int64, helpers []signs) [][]int64 {
+	m := len(basis) + len(helpers)
+	out := make([][]int64, m)
+	n, total := 0, 0
+	for _, u := range basis {
 		n = max(n, len(u))
+		total += len(u)
 	}
-	wide := n > bitvec.MaxBits
-	sg := make([]signs, len(out))
-	for i, u := range out {
+	// The output vectors share one backing array, each capped at its
+	// length.
+	flat := make([]int64, total)
+	sg := make([]signs, m)
+	for i, u := range basis {
+		out[i], flat = flat[:len(u):len(u)], flat[len(u):]
+		copy(out[i], u)
 		sg[i] = packSigns(u)
 	}
+	copy(sg[len(basis):], helpers)
+	wide := n > bitvec.MaxBits
 	add := make([]int64, n)
 	sub := make([]int64, n)
+	// last[i] is the position of the last replacement in row i's latest
+	// scan, −1 when it replaced nothing; changed[i] reports last[i] ≥ 0.
+	// The first pass checks every pair.
+	last := make([]int, m)
+	for i := range last {
+		last[i] = m - 1
+	}
+	changed := make([]bool, m)
 
 	const maxPasses = 10
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
-		for i := 0; i < len(out); i++ {
+		for i := 0; i < m; i++ {
 			si := &sg[i]
-			for j := 0; j < len(out); j++ {
-				if i == j {
-					continue
-				}
-				sj := &sg[j]
-				if !wide && 2*overlap(&si.supp, &sj.supp) <= sj.nnz {
-					continue
-				}
-				if si.ternary && sj.ternary {
-					// The overlap is nonempty, so at most one of the two
-					// combinations is ternary; equal supports cancel to zero.
-					neg := !si.sumsTernary(sj, false)
-					if neg && !si.sumsTernary(sj, true) || si.supp == sj.supp {
-						continue
-					}
-					span := either(&si.supp, &sj.supp)
-					si.absorb(sj, neg)
-					si.fill(out[i], &span)
-					improved = true
-					continue
-				}
-				ui, uj := out[i], out[j]
-				// Each combination stays a candidate while it is ternary
-				// and sparser than u_i; the scan stops once neither is.
-				addOK, subOK := true, true
-				addNZ, subNZ := 0, 0
-				for k, a := range ui {
-					b := uj[k]
-					s, d := a+b, a-b
-					add[k], sub[k] = s, d
-					if s != 0 {
-						addNZ++
-						addOK = addOK && s >= -1 && s <= 1 && addNZ < si.nnz
-					}
-					if d != 0 {
-						subNZ++
-						subOK = subOK && d >= -1 && d <= 1 && subNZ < si.nnz
-					}
-					if !addOK && !subOK {
-						break
-					}
-				}
-				if !addOK && !subOK {
-					continue
-				}
-				best := si.nnz
-				var repl []int64
-				if addOK && addNZ > 0 {
-					repl, best = add, addNZ
-				}
-				if subOK && subNZ > 0 && subNZ < best {
-					repl = sub
-				}
-				if repl != nil {
-					copy(ui, repl[:len(ui)])
-					*si = packSigns(ui)
+			// Every pair up to hi is checked; past it only those whose u_j
+			// changed, until u_i does.
+			hi, at := last[i], -1
+			for j := candidate(sg, changed, i, 0, hi, wide); j < m; j = candidate(sg, changed, i, j+1, hi, wide) {
+				if simplifyPair(out[i], out[j], si, &sg[j], add, sub) {
+					hi, at = m, j
 					improved = true
 				}
 			}
+			last[i], changed[i] = at, at >= 0
 		}
 		if !improved {
 			break
 		}
 	}
-	return out
+	return out[:len(basis)]
+}
+
+// candidate returns the first j ≥ from of row i's scan that Simplify
+// checks: j ≠ i, within hi or with changed[j] set, and passing the overlap
+// filter unless the vectors are wide; len(sg) when there is none.
+func candidate(sg []signs, changed []bool, i, from, hi int, wide bool) int {
+	a := sg[i].supp
+	for j := from; j < len(sg); j++ {
+		if j > hi && !changed[j] || j == i {
+			continue
+		}
+		if b := &sg[j]; wide || 2*overlap(&a, &b.supp) > b.nnz {
+			return j
+		}
+	}
+	return len(sg)
+}
+
+// simplifyPair checks the ordered pair (u_i, u_j) of Simplify that passed
+// the overlap filter and replaces u_i, and its signs si, when a
+// combination qualifies. It reports whether it replaced u_i. A nil u_i is
+// a helper kept only as its signs. add and sub are scratch of the longest
+// length.
+func simplifyPair(ui, uj []int64, si, sj *signs, add, sub []int64) bool {
+	if si.ternary && sj.ternary {
+		// The overlap is nonempty, so at most one of the two
+		// combinations is ternary; equal supports cancel to zero.
+		neg := !si.sumsTernary(sj, false)
+		if neg && !si.sumsTernary(sj, true) || si.supp == sj.supp {
+			return false
+		}
+		span := either(&si.supp, &sj.supp)
+		si.absorb(sj, neg)
+		if ui != nil {
+			si.fill(ui, &span)
+		}
+		return true
+	}
+	// Each combination stays a candidate while it is ternary and sparser
+	// than u_i; the scan stops once neither is.
+	addOK, subOK := true, true
+	addNZ, subNZ := 0, 0
+	for k, a := range ui {
+		b := uj[k]
+		s, d := a+b, a-b
+		add[k], sub[k] = s, d
+		if s != 0 {
+			addNZ++
+			addOK = addOK && s >= -1 && s <= 1 && addNZ < si.nnz
+		}
+		if d != 0 {
+			subNZ++
+			subOK = subOK && d >= -1 && d <= 1 && subNZ < si.nnz
+		}
+		if !addOK && !subOK {
+			return false
+		}
+	}
+	best := si.nnz
+	var repl []int64
+	if addOK && addNZ > 0 {
+		repl, best = add, addNZ
+	}
+	if subOK && subNZ > 0 && subNZ < best {
+		repl = sub
+	}
+	if repl == nil {
+		return false
+	}
+	copy(ui, repl[:len(ui)])
+	*si = packSigns(ui)
+	return true
 }
 
 // TernarySearchOptions bounds the ternary kernel vector search.
@@ -323,172 +374,247 @@ func TernaryKernelVectors(C *linalg.IntMat, opts TernarySearchOptions) [][]int64
 	if sup <= 0 {
 		sup = C.Cols
 	}
-	return ternaryLadder(C, sup, sup, opts.NodeBudget, opts.MaxVectors)[0]
+	return searchLadder(C, sup, sup, opts.NodeBudget, opts.MaxVectors).list(sup)
 }
 
-// ternaryLadder runs the search of TernaryKernelVectors once for every
-// support bound lo..hi and returns the list of each: levels[L-lo] is what
-// TernaryKernelVectors returns for MaxSupport L with the same budgets. It
-// returns nil when lo > hi.
-//
-// One depth-first pass serves every level, because a level's search tree
-// is the full tree cut at its support bound, visited in the same order.
-// Each level's caps are emulated exactly: a node with prefix support s
-// counts toward every level L ≥ s, and level L stops at the first node
-// entry where its count passes the node budget or where it already holds
-// maxVectors vectors. Counts and vector tallies grow with L, so levels
-// stop from the top down and the running ones are always lo..top; the
-// search branches only up to top. Level L's list is the vectors of support
-// ≤ L found before L stopped, in DFS order, stable-sorted by support.
-func ternaryLadder(C *linalg.IntMat, lo, hi, nodeBudget, maxVectors int) [][][]int64 {
-	if lo > hi {
-		return nil
+// ladder is one depth-first pass that serves the search of
+// TernaryKernelVectors for every support bound lo..hi, because a level's
+// search tree is the full tree cut at its support bound, visited in the
+// same order. Each level's caps are emulated exactly: a node with prefix
+// support s counts toward every level L ≥ s, and level L stops at the
+// first node entry where its count passes the node budget or where it
+// already holds maxVectors vectors. Counts and vector tallies grow with
+// L, so levels stop from the top down and the running ones are always
+// lo..top; the search branches only up to top. Level L's list is the
+// vectors of support ≤ L found before L stopped, in DFS order,
+// stable-sorted by support. A bound above n searches the same tree as n:
+// the pass runs the levels loE..hiE and the higher ones are level n.
+type ladder struct {
+	n, rows, loE int
+
+	// The columns in compressed sparse form (row indices and coefficients
+	// of column i at colPtr[i]:colPtr[i+1]), and the suffix bounds
+	// column-major: suf[i*rows+r] is the maximum |contribution| the
+	// undecided variables i..n-1 can add to row r.
+	colPtr  []int
+	colRow  []int
+	colCoef []int64
+	suf     []int64
+
+	// found holds the packed signs of every vector in DFS order and
+	// support its support; cur is the vector of the current prefix and
+	// sums its row sums. top is the highest running level; nodes and
+	// tally are its node count and the number of found vectors it holds.
+	// entered[s] and foundAt[s] count node entries and vectors of support
+	// exactly s, from which a lower level's counts follow when the top one
+	// stops. end[L-loE] is the number of vectors found when level L
+	// stopped, or all of them when it ran to the end.
+	found                  []signKey
+	support                []int
+	cur                    signKey
+	sums                   []int64
+	top, nodes, tally      int
+	nodeBudget, maxVectors int
+	entered, foundAt, end  []int
+
+	// order lists the found vectors stable-sorted by support; filtering it
+	// keeps each level's vectors in DFS order within a support.
+	order []int
+}
+
+// searchLadder runs the ladder's pass for the support bounds lo..hi ≥ lo.
+// C has at most bitvec.MaxBits columns, as every problem does.
+func searchLadder(C *linalg.IntMat, lo, hi, nodeBudget, maxVectors int) *ladder {
+	n, rows := C.Cols, C.Rows
+	if n > bitvec.MaxBits {
+		panic(fmt.Sprintf("core: ternary search over %d columns exceeds %d", n, bitvec.MaxBits))
 	}
-	n := C.Cols
-	rows := C.Rows
 	if nodeBudget <= 0 {
 		nodeBudget = 4_000_000
 	}
 	if maxVectors <= 0 {
 		maxVectors = 512
 	}
-	// A bound above n searches the same tree as n: the search runs the
-	// levels loE..hiE and the higher ones copy level n.
 	loE, hiE := min(lo, n), min(hi, n)
-	// The columns in compressed sparse form (row indices and coefficients
-	// of column i at colPtr[i]:colPtr[i+1]), and the suffix bounds
-	// column-major: suf[i*rows+r] is the maximum |contribution| the
-	// undecided variables i..n-1 can add to row r.
-	colPtr := make([]int, n+1)
-	var colRow []int
-	var colCoef []int64
-	suf := make([]int64, (n+1)*rows)
+	d := &ladder{
+		n: n, rows: rows, loE: loE,
+		colPtr:     make([]int, n+1),
+		suf:        make([]int64, (n+1)*rows),
+		top:        hiE,
+		nodeBudget: nodeBudget,
+		maxVectors: maxVectors,
+		entered:    make([]int, hiE+1),
+		foundAt:    make([]int, hiE+1),
+		end:        make([]int, hiE-loE+1),
+		sums:       make([]int64, rows),
+	}
 	for i := 0; i < n; i++ {
 		for r := 0; r < rows; r++ {
 			if c := C.Data[r*C.Cols+i]; c != 0 {
-				colRow = append(colRow, r)
-				colCoef = append(colCoef, c)
+				d.colRow = append(d.colRow, r)
+				d.colCoef = append(d.colCoef, c)
 			}
 		}
-		colPtr[i+1] = len(colRow)
+		d.colPtr[i+1] = len(d.colRow)
 	}
 	for i := n - 1; i >= 0; i-- {
-		copy(suf[i*rows:(i+1)*rows], suf[(i+1)*rows:(i+2)*rows])
-		for k := colPtr[i]; k < colPtr[i+1]; k++ {
-			c := colCoef[k]
+		copy(d.suf[i*rows:(i+1)*rows], d.suf[(i+1)*rows:(i+2)*rows])
+		for k := d.colPtr[i]; k < d.colPtr[i+1]; k++ {
+			c := d.colCoef[k]
 			if c < 0 {
 				c = -c
 			}
-			suf[i*rows+colRow[k]] += c
+			d.suf[i*rows+d.colRow[k]] += c
 		}
 	}
+	for k := range d.end {
+		d.end[k] = -1
+	}
+	d.dfs(0, 0)
+	for k, e := range d.end {
+		if e < 0 {
+			d.end[k] = len(d.support)
+		}
+	}
+	// A counting sort by support is the stable sort.
+	start := make([]int, n+2)
+	for _, s := range d.support {
+		start[s+1]++
+	}
+	for s := 1; s < len(start); s++ {
+		start[s] += start[s-1]
+	}
+	d.order = make([]int, len(d.support))
+	for k, s := range d.support {
+		d.order[start[s]] = k
+		start[s]++
+	}
+	return d
+}
 
-	// found holds every vector in DFS order with its support. top is the
-	// highest running level; nodes and tally are its node count and the
-	// number of found vectors it holds. entered[s] and foundAt[s] count
-	// node entries and vectors of support exactly s, from which a lower
-	// level's counts follow when the top one stops. stop[L-loE] is
-	// len(found) when level L stopped.
-	var found [][]int64
-	var support []int
-	top := hiE
-	nodes, tally := 0, 0
-	entered := make([]int, hiE+1)
-	foundAt := make([]int, hiE+1)
-	stop := make([]int, hiE-loE+1)
-	for k := range stop {
-		stop[k] = -1
+// dfs enters the node that decides variable i after a prefix of support
+// s. The prefix is nonzero exactly when s > 0, so a nonzero entry is +1
+// first and −1 only after one: the first nonzero entry is fixed to +1.
+func (d *ladder) dfs(i, s int) {
+	// Every entered node has s ≤ top, so it counts for top.
+	d.entered[s]++
+	d.nodes++
+	for d.top >= d.loE && (d.nodes > d.nodeBudget || d.tally >= d.maxVectors) {
+		d.end[d.top-d.loE] = len(d.support)
+		d.nodes -= d.entered[d.top]
+		d.tally -= d.foundAt[d.top]
+		d.top--
 	}
-	cur := make([]int64, n)
-	sums := make([]int64, rows)
-	var dfs func(i, s int, anyNonzero bool)
-	dfs = func(i, s int, anyNonzero bool) {
-		// Every entered node has s ≤ top, so it counts for top.
-		entered[s]++
-		nodes++
-		for top >= loE && (nodes > nodeBudget || tally >= maxVectors) {
-			stop[top-loE] = len(found)
-			nodes -= entered[top]
-			tally -= foundAt[top]
-			top--
+	if d.top < d.loE || s > d.top {
+		return
+	}
+	// Interval pruning. The parent node passed this test for every row,
+	// and only the rows of column i-1 changed a sum or a bound since, so
+	// only those are tested again.
+	if i > 0 {
+		bound := d.suf[i*d.rows : (i+1)*d.rows]
+		for k := d.colPtr[i-1]; k < d.colPtr[i]; k++ {
+			r := d.colRow[k]
+			if x := d.sums[r]; x > bound[r] || -x > bound[r] {
+				return
+			}
 		}
-		if top < loE || s > top {
+	}
+	if i == d.n {
+		if s > 0 {
+			d.found = append(d.found, d.cur)
+			d.support = append(d.support, s)
+			d.foundAt[s]++
+			d.tally++
+		}
+		return
+	}
+	d.dfs(i+1, s)
+	w, bit := i/64, uint64(1)<<(i%64)
+	for _, v := range [...]int64{1, -1} {
+		if d.top < d.loE || s+1 > d.top {
 			return
 		}
-		// Interval pruning. The parent node passed this test for every
-		// row, and only the rows of column i-1 changed a sum or a bound
-		// since, so only those are tested again.
-		if i > 0 {
-			bound := suf[i*rows : (i+1)*rows]
-			for k := colPtr[i-1]; k < colPtr[i]; k++ {
-				r := colRow[k]
-				if x := sums[r]; x > bound[r] || -x > bound[r] {
-					return
-				}
-			}
+		if v > 0 {
+			d.cur.plus[w] |= bit
+		} else {
+			d.cur.minus[w] |= bit
 		}
-		if i == n {
-			if anyNonzero {
-				found = append(found, append([]int64(nil), cur...))
-				support = append(support, s)
-				foundAt[s]++
-				tally++
-			}
+		for k := d.colPtr[i]; k < d.colPtr[i+1]; k++ {
+			d.sums[d.colRow[k]] += v * d.colCoef[k]
+		}
+		d.dfs(i+1, s+1)
+		for k := d.colPtr[i]; k < d.colPtr[i+1]; k++ {
+			d.sums[d.colRow[k]] -= v * d.colCoef[k]
+		}
+		d.cur.plus[w] &^= bit
+		d.cur.minus[w] &^= bit
+		if s == 0 {
 			return
 		}
-		vals := [...]int64{0, 1, -1}
-		nv := len(vals)
-		if !anyNonzero {
-			nv = 2 // canonical: first nonzero is +1
-		}
-		for _, v := range vals[:nv] {
-			if v == 0 {
-				dfs(i+1, s, anyNonzero)
-				continue
-			}
-			if top < loE || s+1 > top {
-				continue
-			}
-			cur[i] = v
-			for k := colPtr[i]; k < colPtr[i+1]; k++ {
-				sums[colRow[k]] += v * colCoef[k]
-			}
-			dfs(i+1, s+1, true)
-			for k := colPtr[i]; k < colPtr[i+1]; k++ {
-				sums[colRow[k]] -= v * colCoef[k]
-			}
-			cur[i] = 0
-		}
 	}
-	dfs(0, 0, false)
+}
 
-	// One stable sort by support serves every level: filtering the sorted
-	// order keeps each level's vectors in DFS order within a support.
-	order := make([]int, len(found))
-	for k := range order {
-		order[k] = k
+// level returns the level that runs bound L: L itself, or n above it.
+func (d *ladder) level(L int) int { return min(L, d.n) }
+
+// move returns the move of found vector k.
+func (d *ladder) move(k int) bitvec.Move {
+	return bitvec.NewMoveMasks(d.n, d.found[k].plus, d.found[k].minus)
+}
+
+// member reports whether found vector k is in the list of bound L.
+func (d *ladder) member(k, L int) bool {
+	e := d.level(L)
+	return k < d.end[e-d.loE] && d.support[k] <= e
+}
+
+// list returns the vectors of bound L, which share one backing array.
+func (d *ladder) list(L int) [][]int64 {
+	size := d.size(L)
+	if size == 0 {
+		return nil
 	}
-	sort.SliceStable(order, func(a, b int) bool { return support[order[a]] < support[order[b]] })
-	levels := make([][][]int64, hi-lo+1)
-	for L := lo; L <= hi; L++ {
-		e := min(L, n)
-		if L > lo && e == min(L-1, n) {
-			levels[L-lo] = levels[L-lo-1]
-			continue
+	list := make([][]int64, 0, size)
+	flat := make([]int64, size*d.n)
+	for _, k := range d.order {
+		if d.member(k, L) {
+			u := flat[:d.n:d.n]
+			flat = flat[d.n:]
+			d.found[k].fill(u)
+			list = append(list, u)
 		}
-		end := stop[e-loE]
-		if end < 0 {
-			end = len(found)
-		}
-		var list [][]int64
-		for _, k := range order {
-			if k < end && support[k] <= e {
-				list = append(list, found[k])
-			}
-		}
-		levels[L-lo] = list
 	}
-	return levels
+	return list
+}
+
+// size returns the length of the list of bound L.
+func (d *ladder) size(L int) int {
+	c := 0
+	for k := range d.support {
+		if d.member(k, L) {
+			c++
+		}
+	}
+	return c
+}
+
+// grows reports whether the list of bound L holds every vector of the
+// list of L−1, for L−1 ≥ lo. A level that stopped no earlier than the one
+// below it does: a vector of support ≤ L−1 found before L−1 stopped was
+// found before L stopped. Otherwise, when a cap stopped L first, it does
+// exactly when L−1 found no vector of support ≤ L−1 after that.
+func (d *ladder) grows(L int) bool {
+	e, e1 := d.level(L), d.level(L-1)
+	if e == e1 {
+		return true
+	}
+	for k := d.end[e-d.loE]; k < d.end[e1-d.loE]; k++ {
+		if d.support[k] <= e1 {
+			return false
+		}
+	}
+	return true
 }
 
 // Basis is the constructed homogeneous move set for a problem: M is the
@@ -582,10 +708,8 @@ func BuildBasis(p *problems.Problem, opts BasisOptions) (*Basis, error) {
 		// location kernels reduce their support-50 RREF artifacts down to
 		// the natural support-(D+1) facility toggles without bloating the
 		// pool with the helper compositions themselves.
-		enriched := enrichSparsePairs(union, 8, 4*len(union)+16)
-		simpInput := append(append([][]int64{}, union...), enriched...)
-		simp := Simplify(simpInput)
-		union = collect(union, simp[:len(union)])
+		simp := simplifyWith(union, enrichSparsePairs(union, 8, 4*len(union)+16))
+		union = collect(union, simp)
 	}
 	pool := union
 	if !opts.DisableSimplify {
@@ -624,35 +748,8 @@ func BuildBasis(p *problems.Problem, opts BasisOptions) (*Basis, error) {
 		if search.MaxVectors == 0 {
 			search.MaxVectors = 2048
 		}
-		levels := ternaryLadder(p.C, 2, bound, search.NodeBudget, search.MaxVectors)
-		var bestPool [][]int64
-		bestClosure := 0
-		for k, vecs := range levels {
-			// A level that found nothing its predecessor lacks has the
-			// same closure, and only a strictly larger closure replaces
-			// the best pool.
-			if k > 0 && equalVectors(vecs, levels[k-1]) {
-				continue
-			}
-			// A level is already a deduplicated canonical pool: the search
-			// reaches each ternary vector once and fixes its first nonzero
-			// entry to +1.
-			r, _ := closureWalk(p, bitvec.NewMoves(vecs), basisClosureCap)
-			cl := len(r.states)
-			if cl > bestClosure {
-				bestClosure, bestPool = cl, vecs
-			}
-			if bestClosure >= basisClosureCap {
-				break
-			}
-			// Compound moves (e.g. color swaps) can appear many support
-			// levels above the basic circuits, so the ladder runs to the
-			// bound rather than stopping at the first plateau; the
-			// instances that reach this path are small enough that the
-			// full deepening stays cheap.
-		}
-		if len(bestPool) > 0 {
-			pool = bestPool
+		if best := searchPool(p, bound, search); len(best) > 0 {
+			pool = best
 		}
 	}
 	if len(pool) == 0 {
@@ -680,11 +777,12 @@ func maxSupportDefault(n int) int {
 // within it), capped at maxNew vectors, in canonical sign and deduplicated
 // against the pool and each other. Compositions of sparse "switch" moves
 // are exactly the chipping material iterated simplification needs. The
-// pool holds ternary vectors, as collect returns them; each combination
-// is tested on packed signs, and only the vectors kept are built.
-func enrichSparsePairs(pool [][]int64, maxSupport, maxNew int) [][]int64 {
+// pool holds ternary vectors, as collect returns them; the vectors are
+// returned as their packed signs, which is all simplifyWith reads.
+func enrichSparsePairs(pool [][]int64, maxSupport, maxNew int) []signs {
 	var sparse []signs
-	seen := make(map[signKey]struct{}, len(pool))
+	// Sized once for every key that can arrive: the pool's and maxNew more.
+	seen := make(map[signKey]struct{}, len(pool)+maxNew)
 	for _, u := range pool {
 		s := packSigns(u)
 		if !s.ternary || s.nnz == 0 {
@@ -695,7 +793,7 @@ func enrichSparsePairs(pool [][]int64, maxSupport, maxNew int) [][]int64 {
 			sparse = append(sparse, s)
 		}
 	}
-	var out [][]int64
+	out := make([]signs, 0, maxNew)
 	for i := 0; i < len(sparse) && len(out) < maxNew; i++ {
 		for j := i + 1; j < len(sparse) && len(out) < maxNew; j++ {
 			for _, neg := range [...]bool{false, true} {
@@ -710,7 +808,7 @@ func enrichSparsePairs(pool [][]int64, maxSupport, maxNew int) [][]int64 {
 				k := w.key()
 				if _, dup := seen[k]; !dup {
 					seen[k] = struct{}{}
-					out = append(out, k.vector(len(pool[0])))
+					out = append(out, signs{supp: w.supp, plus: k.plus, minus: k.minus, nnz: w.nnz, ternary: true})
 				}
 			}
 		}
@@ -750,12 +848,10 @@ func sameClosure(p *problems.Problem, sub, full [][]int64, maxStates int) bool {
 		return true
 	}
 	moves := bitvec.NewMoves(full)
-	for _, x := range r.states {
+	for _, x := range r.States() {
 		for k := range moves {
-			if y, ok := moves[k].Add(x); ok && !r.has(y) {
-				return false
-			}
-			if y, ok := moves[k].Sub(x); ok && !r.has(y) {
+			// A move that leaves R adds its state; R is not used after.
+			if _, _, added := r.Step(x, &moves[k]); added {
 				return false
 			}
 		}
@@ -766,18 +862,94 @@ func sameClosure(p *problems.Problem, sub, full [][]int64, maxStates int) bool {
 // closureWalk walks the feasible-graph closure of the moves from the seed
 // breadth first, and reports whether it stopped at maxStates > 0 the way
 // closureSize does: right after the insertion that brings it there.
-func closureWalk(p *problems.Problem, moves []bitvec.Move, maxStates int) (r *reachSet, capped bool) {
-	r = newReachSet(p.Init)
-	full := func() bool { return maxStates > 0 && len(r.states) >= maxStates }
-	for i := 0; i < len(r.states); i++ {
-		x := r.states[i]
-		for k := range moves {
-			if r.add(moves[k].Add(x)) && full() || r.add(moves[k].Sub(x)) && full() {
-				return r, true
+func closureWalk(p *problems.Problem, moves []bitvec.Move, maxStates int) (r *bitvec.Set, capped bool) {
+	r = bitvec.NewSet(p.Init)
+	return r, growClosure(r, moves, 0, maxStates)
+}
+
+// growClosure extends r, the whole closure of moves[:old] from the seed
+// below maxStates, to the closure of every move, stopping as closureWalk
+// does. The states r holds take only the moves from old on, since the
+// others lead back into r; the states it adds take every move.
+func growClosure(r *bitvec.Set, moves []bitvec.Move, old, maxStates int) (capped bool) {
+	held := r.Len()
+	for i := 0; i < r.Len(); i++ {
+		x := r.States()[i]
+		from := 0
+		if i < held {
+			from = old
+		}
+		for k := from; k < len(moves); k++ {
+			if _, _, added := r.Step(x, &moves[k]); added && maxStates > 0 && r.Len() >= maxStates {
+				return true
 			}
 		}
 	}
-	return r, false
+	return false
+}
+
+// searchPool runs the fallback search of BuildBasis: the support ladder
+// 2..bound, measuring the capped feasible-graph closure of each level's
+// list, and returns the list with the largest closure, the lowest level
+// on a tie. A list is already a deduplicated canonical pool: the search
+// reaches each ternary vector once and fixes its first nonzero entry to
+// +1.
+func searchPool(p *problems.Problem, bound int, search TernarySearchOptions) [][]int64 {
+	const lo = 2
+	if bound < lo {
+		return nil
+	}
+	d := searchLadder(p.C, lo, bound, search.NodeBudget, search.MaxVectors)
+	bestL, bestClosure := 0, 0
+	d.closures(p, lo, bound, basisClosureCap, func(L, size int) bool {
+		if size > bestClosure {
+			bestL, bestClosure = L, size
+		}
+		// Compound moves (e.g. color swaps) can appear many support levels
+		// above the basic circuits, so the ladder runs to the bound rather
+		// than stopping at the first plateau; the instances that reach this
+		// path are small enough that the full deepening stays cheap.
+		return bestClosure < basisClosureCap
+	})
+	if bestL == 0 {
+		return nil
+	}
+	return d.list(bestL)
+}
+
+// closures visits the bounds lo..hi of the ladder, which searched from lo,
+// in order, with the size closureSize reports for each list under
+// maxStates, until visit returns false. A bound whose list equals the one
+// below it has the same closure and is not visited. A list that holds the
+// one below it grows that closure with its new vectors only, since the
+// closure of the larger list is the closure of the smaller one closed
+// again under the new moves. The walk starts over from the seed when a
+// cap stopped this level before the one below it and left out some of its
+// vectors, or when the closure below stopped at maxStates.
+func (d *ladder) closures(p *problems.Problem, lo, hi, maxStates int, visit func(L, size int) bool) {
+	var reach *bitvec.Set
+	moves := make([]bitvec.Move, 0, len(d.found))
+	capped := false
+	for L := lo; L <= hi; L++ {
+		grows := L > lo && d.grows(L)
+		if grows && d.size(L) == d.size(L-1) {
+			continue
+		}
+		grow := grows && !capped
+		old := len(moves)
+		if !grow {
+			reach, moves, old = bitvec.NewSet(p.Init), moves[:0], 0
+		}
+		for _, k := range d.order {
+			if d.member(k, L) && !(grow && d.member(k, L-1)) {
+				moves = append(moves, d.move(k))
+			}
+		}
+		capped = growClosure(reach, moves, old, maxStates)
+		if !visit(L, reach.Len()) {
+			return
+		}
+	}
 }
 
 // CoverageReport is the diagnostic BuildBasis users run to confirm

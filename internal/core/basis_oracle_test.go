@@ -210,9 +210,53 @@ func TestSimplifyMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzSimplify decodes (position, value) byte pairs into m vectors of
-// length n ≤ 192 with entries in [-2, 2] and compares Simplify with the
-// reference.
+// encodeSimplifyInput writes vectors of one length n ≤ 192, at most 128
+// of them, in FuzzSimplify's encoding: round r sets the r-th nonzero entry
+// of every vector in turn, and a vector with fewer writes a zero onto one
+// of its zero positions.
+func encodeSimplifyInput(basis [][]int64) (nb, mb byte, data []byte) {
+	n, m := len(basis[0]), len(basis)
+	rounds := 0
+	for _, u := range basis {
+		rounds = max(rounds, NonZero(u))
+	}
+	for r := 0; r < rounds; r++ {
+		for _, u := range basis {
+			pos, val, seen := slices.Index(u, 0), int64(0), 0
+			for k, v := range u {
+				if v != 0 {
+					if seen == r {
+						pos, val = k, v
+						break
+					}
+					seen++
+				}
+			}
+			data = append(data, byte(pos), byte(val+2))
+		}
+	}
+	return byte(n - 1), byte(m - 1), data
+}
+
+// decodeSimplifyInput is FuzzSimplify's decoding: m = 1 + mb%128 vectors
+// of length n = 1 + nb%192, the k-th byte pair writing entry
+// data[2k] mod n of vector k mod m as data[2k+1] mod 5, less 2.
+func decodeSimplifyInput(nb, mb byte, data []byte) [][]int64 {
+	n, m := 1+int(nb)%192, 1+int(mb)%128
+	basis := make([][]int64, m)
+	for i := range basis {
+		basis[i] = make([]int64, n)
+	}
+	for k := 0; k+1 < len(data); k += 2 {
+		basis[(k/2)%m][int(data[k])%n] = int64(data[k+1]%5) - 2
+	}
+	return basis
+}
+
+// FuzzSimplify decodes (position, value) byte pairs into m ≤ 128 vectors
+// of length n ≤ 192 with entries in [-2, 2] and compares Simplify with the
+// reference. When every vector is ternary it also checks simplifyWith,
+// with the second half of the vectors passed as packed helpers.
 func FuzzSimplify(f *testing.F) {
 	f.Add(byte(4), byte(2), []byte{0, 1, 2, 1, 0, 3, 1, 4})
 	f.Add(byte(64), byte(4), []byte{3, 1, 64, 3, 3, 3, 64, 1, 65, 4, 70, 0, 3, 4, 65, 1})
@@ -237,22 +281,40 @@ func FuzzSimplify(f *testing.F) {
 			f.Add(byte(n-1), byte(5), data)
 		}
 	}
+	// BuildBasis's second-call inputs on F4, S4 and K4: 66 to 89 ternary
+	// vectors that take two or three passes.
+	for _, label := range []string{"F4", "S4", "K4"} {
+		b, err := problems.ByLabel(label)
+		if err != nil {
+			f.Fatal(err)
+		}
+		input, _, _ := unionSimplifyInput(b.Generate(0))
+		nb, mb, data := encodeSimplifyInput(input)
+		if !equalVectors(decodeSimplifyInput(nb, mb, data), input) {
+			f.Fatalf("%s: the second-call input does not survive the encoding", label)
+		}
+		f.Add(nb, mb, data)
+	}
 	f.Fuzz(func(t *testing.T, nb, mb byte, data []byte) {
-		n, m := 1+int(nb)%192, 1+int(mb)%12
-		basis := make([][]int64, m)
-		for i := range basis {
-			basis[i] = make([]int64, n)
-		}
-		for k := 0; k+1 < len(data); k += 2 {
-			basis[(k/2)%m][int(data[k])%n] = int64(data[k+1]%5) - 2
-		}
+		basis := decodeSimplifyInput(nb, mb, data)
+		m := len(basis)
 		checkSimplifyMatches(t, basis)
+		if !slices.ContainsFunc(basis, func(u []int64) bool { return !IsTernary(u) && NonZero(u) > 0 }) {
+			h := m / 2
+			helpers := make([]signs, m-h)
+			for i, u := range basis[h:] {
+				helpers[i] = packSigns(u)
+			}
+			if got, want := simplifyWith(basis[:h], helpers), Simplify(basis)[:h]; !equalVectors(got, want) {
+				t.Fatalf("simplifyWith(%v, %v)\n  = %v\nwant %v", basis[:h], basis[h:], got, want)
+			}
+		}
 	})
 }
 
 // TestSimplifyAllocsBounded gates the in-place scan: Simplify allocates
-// its output copies and a fixed handful of work buffers, however many
-// pairs it combines and passes it runs.
+// its output, one backing array for the output's vectors and five work
+// buffers, however many vectors, pairs and passes it has.
 func TestSimplifyAllocsBounded(t *testing.T) {
 	inputs := map[string][][]int64{
 		"random-150x60": randomBasis(rand.New(rand.NewSource(22)), 150, 60),
@@ -265,7 +327,7 @@ func TestSimplifyAllocsBounded(t *testing.T) {
 		inputs[label] = linalg.Nullspace(b.Generate(0).C)
 	}
 	for name, basis := range inputs {
-		limit := float64(len(basis) + 8)
+		const limit = 7
 		if allocs := testing.AllocsPerRun(5, func() { Simplify(basis) }); allocs > limit {
 			t.Errorf("%s: Simplify of %d vectors allocates %v times; want at most %v", name, len(basis), allocs, limit)
 		}
@@ -273,14 +335,15 @@ func TestSimplifyAllocsBounded(t *testing.T) {
 }
 
 // TestBuildBasisAllocsBounded gates basis construction on the cells
-// whose pool decision runs: packed-mask dedupe and the mask step of
-// Simplify allocate per kept vector, never per pair or per key, so the
-// counts stay at what they are now plus a small margin.
+// whose pool decision runs: packed-mask dedupe, the enrichment pairs kept
+// as packed signs and the mask step of Simplify allocate per kept vector,
+// never per pair or per key, so the counts stay at what they are now plus
+// a small margin.
 func TestBuildBasisAllocsBounded(t *testing.T) {
 	for _, c := range []struct {
 		label string
 		limit float64
-	}{{"F4", 290}, {"S4", 240}, {"K4", 270}} {
+	}{{"F4", 104}, {"S4", 94}, {"K4", 88}} {
 		b, err := problems.ByLabel(c.label)
 		if err != nil {
 			t.Fatal(err)
@@ -296,32 +359,90 @@ func TestBuildBasisAllocsBounded(t *testing.T) {
 	}
 }
 
+// ternaryLadder runs the search of TernaryKernelVectors once for every
+// support bound lo..hi and returns the list of each: levels[L-lo] is what
+// TernaryKernelVectors returns for MaxSupport L with the same budgets. It
+// returns nil when lo > hi.
+func ternaryLadder(C *linalg.IntMat, lo, hi, nodeBudget, maxVectors int) [][][]int64 {
+	if lo > hi {
+		return nil
+	}
+	d := searchLadder(C, lo, hi, nodeBudget, maxVectors)
+	levels := make([][][]int64, hi-lo+1)
+	for L := lo; L <= hi; L++ {
+		if L > lo && d.level(L) == d.level(L-1) {
+			levels[L-lo] = levels[L-lo-1]
+			continue
+		}
+		levels[L-lo] = d.list(L)
+	}
+	return levels
+}
+
+func equalVectors(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
+
+// collectTernary is BuildBasis's pool dedupe written with string keys:
+// the canonical form of every ternary vector of the sets, first
+// occurrence kept.
+func collectTernary(sets ...[][]int64) [][]int64 {
+	seen := map[string]bool{}
+	var pool [][]int64
+	for _, set := range sets {
+		for _, u := range set {
+			if !IsTernary(u) {
+				continue
+			}
+			c := Canonical(u)
+			if k := vecKey(c); !seen[k] {
+				seen[k] = true
+				pool = append(pool, c)
+			}
+		}
+	}
+	return pool
+}
+
+// unionSimplifyInput returns what BuildBasis's second Simplify call
+// stands for with simplification on, Simplify(input)[:len(union)]: input
+// is the union pool, then the vectors of its sparse pairs. It also
+// returns the simplified basis and the union pool themselves.
+func unionSimplifyInput(p *problems.Problem) (input, work, union [][]int64) {
+	raw := linalg.Nullspace(p.C)
+	work = Simplify(raw)
+	union = collectTernary(work, raw, linalg.KernelBasisInteger(p.C))
+	input = slices.Clone(union)
+	for _, h := range enrichSparsePairs(union, 8, 4*len(union)+16) {
+		u := make([]int64, p.N)
+		(&signKey{h.plus, h.minus}).fill(u)
+		input = append(input, u)
+	}
+	return input, work, union
+}
+
+// TestSimplifyWithHelpersMatchesSimplify checks BuildBasis's second
+// Simplify call, which keeps the sparse pairs as packed signs, against
+// Simplify over the pool and the pairs' vectors, on every suite cell,
+// cases 0–2.
+func TestSimplifyWithHelpersMatchesSimplify(t *testing.T) {
+	for _, b := range problems.Suite() {
+		for c := 0; c <= 2; c++ {
+			p := b.Generate(c)
+			input, _, union := unionSimplifyInput(p)
+			got := simplifyWith(union, enrichSparsePairs(union, 8, 4*len(union)+16))
+			if want := Simplify(input)[:len(union)]; !equalVectors(got, want) {
+				t.Fatalf("%s case %d:\n  got  %v\n  want %v", b.Label(), c, got, want)
+			}
+		}
+	}
+}
+
 // decisionPools returns the two pools BuildBasis weighs with
 // simplification on, built here with string-keyed dedupe: the simplified
 // basis alone, and the union re-simplified against its sparse pairs.
 func decisionPools(p *problems.Problem) (simplified, union [][]int64) {
-	collect := func(sets ...[][]int64) [][]int64 {
-		seen := map[string]bool{}
-		var pool [][]int64
-		for _, set := range sets {
-			for _, u := range set {
-				if !IsTernary(u) {
-					continue
-				}
-				c := Canonical(u)
-				if k := vecKey(c); !seen[k] {
-					seen[k] = true
-					pool = append(pool, c)
-				}
-			}
-		}
-		return pool
-	}
-	raw := linalg.Nullspace(p.C)
-	work := Simplify(raw)
-	union = collect(work, raw, linalg.KernelBasisInteger(p.C))
-	simp := Simplify(append(slices.Clone(union), enrichSparsePairs(union, 8, 4*len(union)+16)...))
-	return collect(work), collect(union, simp[:len(union)])
+	input, work, union := unionSimplifyInput(p)
+	simp := Simplify(input)
+	return collectTernary(work), collectTernary(union, simp[:len(union)])
 }
 
 // TestSameClosureMatchesClosureSizes checks the one-walk pool decision
@@ -504,4 +625,69 @@ func TestTernaryLadderMatchesPerLevelSearch(t *testing.T) {
 	if cut < 200 {
 		t.Fatalf("caps cut only %d suite levels short; the caps no longer stop levels midway", cut)
 	}
+}
+
+// TestLevelClosuresMatchClosureSize checks the level closures of the
+// search fallback, grown from the level below where its list allows,
+// against closureSize on each level's list: G2–G4, cases 0–2, under the
+// default caps and under node and vector caps that stop a higher level
+// before the one below it, each with closure caps that stop no walk and
+// that stop walks midway. A level is skipped only when its list equals
+// the one below it.
+func TestLevelClosuresMatchClosureSize(t *testing.T) {
+	grown, rewalked, capped := 0, 0, 0
+	for _, label := range []string{"G2", "G3", "G4"} {
+		b, err := problems.ByLabel(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c <= 2; c++ {
+			p := b.Generate(c)
+			hi := maxSupportDefault(p.N)
+			for _, caps := range []TernarySearchOptions{
+				{MaxVectors: 2048},
+				{NodeBudget: 300, MaxVectors: 6},
+				{NodeBudget: 2000},
+				{MaxVectors: 8},
+				{NodeBudget: 5000, MaxVectors: 24},
+			} {
+				d := searchLadder(p.C, 2, hi, caps.NodeBudget, caps.MaxVectors)
+				for _, maxStates := range []int{basisClosureCap, 3, 7} {
+					name := fmt.Sprintf("%s case %d %+v cap %d", label, c, caps, maxStates)
+					next, below := 2, false // below: the walk below stopped at the cap
+					skipTo := func(L int) {
+						for ; next < L; next++ {
+							if next == 2 || !equalVectors(d.list(next), d.list(next-1)) {
+								t.Fatalf("%s: level %d was skipped but its list differs from the one below", name, next)
+							}
+						}
+					}
+					d.closures(p, 2, hi, maxStates, func(L, size int) bool {
+						skipTo(L)
+						next = L + 1
+						if want := closureSize(p, d.list(L), maxStates); size != want {
+							t.Fatalf("%s level %d: closure %d, want %d", name, L, size, want)
+						}
+						switch {
+						case L == 2:
+						case d.grows(L) && !below:
+							grown++
+						case !d.grows(L):
+							rewalked++
+						}
+						below = size >= maxStates
+						if below {
+							capped++
+						}
+						return true
+					})
+					skipTo(hi + 1)
+				}
+			}
+		}
+	}
+	if grown == 0 || rewalked == 0 || capped == 0 {
+		t.Fatalf("%d grown, %d re-walked and %d capped level closures: the inputs no longer exercise every branch", grown, rewalked, capped)
+	}
+	t.Logf("%d grown, %d re-walked and %d capped level closures", grown, rewalked, capped)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rasengan/internal/problems"
+	"rasengan/internal/quantum"
 )
 
 // Micro-benchmarks for the pipeline stages. Run with:
@@ -209,3 +210,63 @@ func BenchmarkCompileS4(b *testing.B) { benchCompile(b, problems.SCP(4, 0)) }
 func BenchmarkCompileG4(b *testing.B) { benchCompile(b, problems.GCP(4, 0)) }
 
 func BenchmarkCompileK4(b *testing.B) { benchCompile(b, problems.KPP(4, 0)) }
+
+// BenchmarkSimplifyUnion{F4,S4,K4} measure BuildBasis's second Simplify
+// call as BuildBasis makes it: the union pool's sparse pairs, then the
+// pool re-simplified against them, which runs several passes.
+func benchSimplifyUnion(b *testing.B, p *problems.Problem) {
+	_, _, union := unionSimplifyInput(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simplifyWith(union, enrichSparsePairs(union, 8, 4*len(union)+16))
+	}
+}
+
+func BenchmarkSimplifyUnionF4(b *testing.B) { benchSimplifyUnion(b, problems.FLP(4, 0)) }
+
+func BenchmarkSimplifyUnionS4(b *testing.B) { benchSimplifyUnion(b, problems.SCP(4, 0)) }
+
+func BenchmarkSimplifyUnionK4(b *testing.B) { benchSimplifyUnion(b, problems.KPP(4, 0)) }
+
+// BenchmarkTernaryLadderG4 measures the one-pass support ladder of
+// BuildBasis's search fallback on G4, with its default bounds and caps:
+// the pass, and the list of its top level.
+func BenchmarkTernaryLadderG4(b *testing.B) {
+	p := problems.GCP(4, 0)
+	hi := maxSupportDefault(p.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		searchLadder(p.C, 2, hi, 0, 2048).list(hi)
+	}
+}
+
+// benchCompileSpace measures the compiled engine's subspace compile over a
+// default schedule: the closure of the seed and the partner tables.
+func benchCompileSpace(b *testing.B, p *problems.Problem) {
+	basis, err := BuildBasis(p, BasisOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := BuildSchedule(p, basis, ScheduleOptions{}).Ops
+	us := make([][]int64, len(ops))
+	for i := range ops {
+		us[i] = ops[i].U
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := quantum.CompileSpace(p.Init, us, 0); !ok {
+			b.Fatal("compile failed")
+		}
+	}
+}
+
+func BenchmarkCompileSpaceF4(b *testing.B) { benchCompileSpace(b, problems.FLP(4, 0)) }
+
+func BenchmarkCompileSpaceS4(b *testing.B) { benchCompileSpace(b, problems.SCP(4, 0)) }
+
+func BenchmarkCompileSpaceG4(b *testing.B) { benchCompileSpace(b, problems.GCP(4, 0)) }
+
+func BenchmarkCompileSpaceK4(b *testing.B) { benchCompileSpace(b, problems.KPP(4, 0)) }

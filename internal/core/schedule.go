@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"slices"
 
 	"rasengan/internal/bitvec"
@@ -108,7 +107,7 @@ func BuildSchedule(p *problems.Problem, b *Basis, opts ScheduleOptions) *Schedul
 		buildSparsestFirst(sched, p, pool, moves, maxOps, maxStates)
 		return sched
 	}
-	reach := newReachSet(p.Init)
+	reach := bitvec.NewSet(p.Init)
 	consecutiveNoop := 0
 
 buildLoop:
@@ -117,14 +116,14 @@ buildLoop:
 			if len(sched.AllOps) >= maxOps {
 				break buildLoop
 			}
-			if len(reach.states) >= maxStates {
+			if reach.Len() >= maxStates {
 				sched.TruncatedCoverage = true
 				break buildLoop
 			}
 			tr := Transition{U: u}
 			sched.AllOps = append(sched.AllOps, tr)
-			grew := reach.expand(&moves[k])
-			sched.TraceAll = append(sched.TraceAll, len(reach.states))
+			grew := expand(reach, &moves[k])
+			sched.TraceAll = append(sched.TraceAll, reach.Len())
 			if grew == 0 && !opts.DisablePrune {
 				sched.PrunedCount++
 				consecutiveNoop++
@@ -136,10 +135,12 @@ buildLoop:
 			}
 			consecutiveNoop = 0
 			sched.Ops = append(sched.Ops, tr)
-			sched.TraceOps = append(sched.TraceOps, len(reach.states))
+			sched.TraceOps = append(sched.TraceOps, reach.Len())
 		}
 	}
-	sched.Reachable = reach.sorted()
+	// The set is not used again, so its states are sorted in place.
+	sched.Reachable = reach.States()
+	sortVecs(sched.Reachable)
 	return sched
 }
 
@@ -149,18 +150,18 @@ buildLoop:
 // expands or a budget trips. Trying a vector that expands nothing leaves
 // the reach unchanged.
 func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, moves []bitvec.Move, maxOps, maxStates int) {
-	reach := newReachSet(p.Init)
-	for len(sched.Ops) < maxOps && len(reach.states) < maxStates {
+	reach := bitvec.NewSet(p.Init)
+	for len(sched.Ops) < maxOps && reach.Len() < maxStates {
 		applied := false
 		for k, u := range pool {
-			if reach.expand(&moves[k]) == 0 {
+			if expand(reach, &moves[k]) == 0 {
 				continue
 			}
 			tr := Transition{U: u}
 			sched.Ops = append(sched.Ops, tr)
 			sched.AllOps = append(sched.AllOps, tr)
-			sched.TraceOps = append(sched.TraceOps, len(reach.states))
-			sched.TraceAll = append(sched.TraceAll, len(reach.states))
+			sched.TraceOps = append(sched.TraceOps, reach.Len())
+			sched.TraceAll = append(sched.TraceAll, reach.Len())
 			applied = true
 			break
 		}
@@ -168,94 +169,26 @@ func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, mo
 			break
 		}
 	}
-	if len(reach.states) >= maxStates {
+	if reach.Len() >= maxStates {
 		sched.TruncatedCoverage = true
 	}
-	sched.Reachable = reach.sorted()
+	// The set is not used again, so its states are sorted in place.
+	sched.Reachable = reach.States()
+	sortVecs(sched.Reachable)
 }
 
-// reachSet is a reachable set of feasible-graph walks (the dry run, the
-// basis closure): its states in insertion order, which walks visit as a
-// slice, and an open-addressed table of their indices for membership,
-// kept at most half full and probed linearly from a multiplicative hash
-// of the state's words.
-type reachSet struct {
-	states []bitvec.Vec
-	slots  []int32 // index+1 into states; 0 marks an empty slot
-	shift  uint    // 64 − log2(len(slots))
-}
-
-func newReachSet(seed bitvec.Vec) *reachSet {
-	r := &reachSet{slots: make([]int32, 64), shift: 64 - 6}
-	r.add(seed, true)
-	return r
-}
-
-// find returns the slot holding y, or the empty slot where y belongs.
-func (r *reachSet) find(y bitvec.Vec) (slot int, held bool) {
-	h := (y.Word(0) ^ bits.RotateLeft64(y.Word(1), 21) ^ bits.RotateLeft64(y.Word(2), 42)) * 0x9E3779B97F4A7C15
-	mask := len(r.slots) - 1
-	for i := int(h >> r.shift); ; i = (i + 1) & mask {
-		s := r.slots[i]
-		if s == 0 {
-			return i, false
-		}
-		if r.states[s-1] == y {
-			return i, true
-		}
-	}
-}
-
-// has reports whether the set holds y.
-func (r *reachSet) has(y bitvec.Vec) bool {
-	_, held := r.find(y)
-	return held
-}
-
-// add appends y, the result of a move that is valid when ok, unless the
-// set holds it, and reports whether it did.
-func (r *reachSet) add(y bitvec.Vec, ok bool) bool {
-	if !ok {
-		return false
-	}
-	i, held := r.find(y)
-	if held {
-		return false
-	}
-	r.states = append(r.states, y)
-	r.slots[i] = int32(len(r.states))
-	if 2*len(r.states) > len(r.slots) {
-		r.slots = make([]int32, 2*len(r.slots))
-		r.shift--
-		for k, x := range r.states {
-			j, _ := r.find(x)
-			r.slots[j] = int32(k + 1)
-		}
-	}
-	return true
-}
-
-// expand adds every state reachable from the set by one ±u move and
+// expand adds to r every state reachable from it by one ±u move and
 // returns how many it added. The added states need no dedupe: each has
 // exactly one source and direction, since x+u = x′+u forces x = x′ and
 // x+u = x′−u would need x′ = x+2u, which is not binary. So each is
 // appended as found, and the walk covers only the states held before it
 // began.
-func (r *reachSet) expand(u *bitvec.Move) int {
-	n := len(r.states)
-	for _, x := range r.states[:n] {
-		r.add(u.Add(x))
-		r.add(u.Sub(x))
+func expand(r *bitvec.Set, u *bitvec.Move) int {
+	n := r.Len()
+	for _, x := range r.States()[:n] {
+		r.Step(x, u)
 	}
-	return len(r.states) - n
-}
-
-// sorted sorts the states into Compare order and returns them. It
-// reorders them under the table, so the set is not used afterwards.
-func (r *reachSet) sorted() []bitvec.Vec {
-	sortVecs(r.states)
-	r.slots = nil
-	return r.states
+	return r.Len() - n
 }
 
 // sortVecs sorts v into Compare order. Callers pass distinct states, so

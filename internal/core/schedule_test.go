@@ -180,41 +180,3 @@ func TestSortVecsMatchesSortSlice(t *testing.T) {
 		t.Fatal("sortVecs order differs from sort.Slice over Compare")
 	}
 }
-
-// TestReachSetMatchesMap drives the open-addressed reachable set and a Go
-// map with the same insertions, duplicates and invalid moves included, at
-// widths across the word boundaries and through several table growths.
-func TestReachSetMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	for _, n := range []int{1, 5, 63, 64, 65, 128, 129, 192} {
-		seed := bitvec.New(n)
-		r := newReachSet(seed)
-		want := map[bitvec.Vec]bool{seed: true}
-		for k := 0; k < 3000; k++ {
-			y := bitvec.New(n)
-			for i := 0; i < n; i++ {
-				// A few distinct low bits make duplicates common.
-				y.Set(i, rng.Intn(3) == 0 && (i < 12 || rng.Intn(8) == 0))
-			}
-			ok := rng.Intn(5) != 0
-			added := r.add(y, ok)
-			if wantAdded := ok && !want[y]; added != wantAdded {
-				t.Fatalf("n=%d: add(%v, %v) = %v, want %v", n, y, ok, added, wantAdded)
-			}
-			if ok {
-				want[y] = true
-			}
-			if r.has(y) != want[y] || len(r.states) != len(want) {
-				t.Fatalf("n=%d: set of %d states disagrees with a map of %d at %v", n, len(r.states), len(want), y)
-			}
-		}
-		for _, x := range r.states {
-			if !want[x] || !r.has(x) {
-				t.Fatalf("n=%d: stray state %v", n, x)
-			}
-		}
-		if n >= 12 && len(r.slots) <= 2*64 {
-			t.Fatalf("n=%d: %d states never grew the table", n, len(r.states))
-		}
-	}
-}

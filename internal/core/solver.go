@@ -604,36 +604,42 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 	}
 
 	// Final evaluation at the optimizer's best parameters to produce the
-	// reported distribution and in-constraints accounting. It runs alone,
-	// so it may use the lease's full current width.
-	exec.SetTelemetry(rec, mainTrack)
+	// reported distribution and in-constraints accounting. It runs on the
+	// winning start's clone, whose compiled buffers are warm and whose
+	// kept boundaries let an exact run skip the segments its times leave
+	// unchanged; by the prefix contract of runCompiled the result is the
+	// same as a full run on a fresh clone. It runs alone, so it may use the
+	// lease's full current width.
+	fin := outcomes[best].ex
+	fin.SetTelemetry(rec, mainTrack)
 	if lim != nil {
-		exec.SetWorkerLimit(parallel.LimiterWidth(lim))
+		fin.SetWorkerLimit(parallel.LimiterWidth(lim))
 	}
 	var finalRng *rand.Rand
-	if !exec.exact() {
+	if !fin.exact() {
 		finalRng = parallel.NewRand(opts.Seed+7, uint64(len(starts)))
 	}
 	sp = rec.Start(obs.StageFinalEval, mainTrack, root)
-	finalDist, flat, err := exec.runDist(ctx, res.X, finalRng)
-	exec.flushStages(sp, rec.Now())
+	finalDist, flat, err := fin.runDist(ctx, res.X, finalRng)
+	fin.flushStages(sp, rec.Now())
 	rec.End(sp)
-	quantumNS += exec.LastQuantumNS
+	quantumNS += fin.LastQuantumNS
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
-		// Only a failed final evaluation pays for the winning start's
-		// last distribution.
-		if finalDist = outcomes[best].ex.LastDistribution(); finalDist == nil {
+		// Only a failed final evaluation pays for the winning start's last
+		// distribution: that of its last successful RunEnergyCtx, which a
+		// run through runDist does not overwrite.
+		if finalDist = fin.LastDistribution(); finalDist == nil {
 			return nil, fmt.Errorf("core: %s: optimization never produced a feasible distribution: %w", p.Name, err)
 		}
 	}
 	rawRate := 1.0
-	if exec.LastMeasuredShots > 0 {
-		rawRate = float64(exec.LastFeasibleShots) / float64(exec.LastMeasuredShots)
+	if fin.LastMeasuredShots > 0 {
+		rawRate = float64(fin.LastFeasibleShots) / float64(fin.LastMeasuredShots)
 	}
-	tally := tallyFinal(p, exec.plan, finalDist, flat)
+	tally := tallyFinal(p, fin.plan, finalDist, flat)
 	if !tally.bestSet {
 		return nil, fmt.Errorf("core: %s: final distribution has no feasible state", p.Name)
 	}

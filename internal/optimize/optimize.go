@@ -94,7 +94,7 @@ type Objective func(x []float64) float64
 
 // budgetFn wraps an objective with an evaluation counter and cache of the
 // best point seen, so every optimizer reports honestly even if it ends on
-// a worse iterate.
+// a worse iterate. An improved point is copied into bestX's one buffer.
 type budgetFn struct {
 	f     Objective
 	evals int
@@ -115,7 +115,7 @@ func (b *budgetFn) call(x []float64) (float64, bool) {
 	v := b.f(x)
 	if v < b.bestF {
 		b.bestF = v
-		b.bestX = append([]float64(nil), x...)
+		b.bestX = append(b.bestX[:0], x...)
 	}
 	return v, true
 }
@@ -240,6 +240,11 @@ func lincomb(a, b []float64, ca, cb float64) []float64 {
 // variational loops fold constraints into the objective already). A
 // linear model is fit over a simplex of n+1 points and minimized within
 // the trust radius; the radius contracts when the model stops improving.
+//
+// An iteration allocates nothing: the simplex rows, the gradient and the
+// candidate are buffers of the run, an accepted candidate trades buffers
+// with the worst row, and a reset rewrites the rows in place. The
+// objective may therefore not retain the slice it is passed.
 func COBYLA(f Objective, x0 []float64, opts Options) Result {
 	n := len(x0)
 	opts = opts.withDefaults(n)
@@ -271,6 +276,8 @@ func COBYLA(f Objective, x0 []float64, opts Options) Result {
 		}
 	}
 	const minRadius = 1e-7
+	g := make([]float64, n)
+	cand := make([]float64, n)
 	iters := startIter
 	for ; iters < opts.MaxIter && bf.evals < opts.MaxEvals && radius > minRadius; iters++ {
 		if opts.cancelled() {
@@ -279,7 +286,7 @@ func COBYLA(f Objective, x0 []float64, opts Options) Result {
 		order(pts, vals)
 		// Linear model gradient from simplex differences: g solves
 		// (p_i − p_0)·g = f_i − f_0 approximately (coordinate fit).
-		g := make([]float64, n)
+		clear(g)
 		for i := 1; i <= n; i++ {
 			d := 0.0
 			var axis int
@@ -306,7 +313,6 @@ func COBYLA(f Objective, x0 []float64, opts Options) Result {
 			continue
 		}
 		// Candidate: steepest descent step of length radius from best.
-		cand := make([]float64, n)
 		for j := range cand {
 			cand[j] = pts[0][j] - radius*g[j]/nrm
 		}
@@ -316,7 +322,8 @@ func COBYLA(f Objective, x0 []float64, opts Options) Result {
 		}
 		if fc < vals[0]-opts.TolF {
 			// Replace worst vertex; keep the simplex around the new best.
-			pts[n], vals[n] = cand, fc
+			pts[n], cand = cand, pts[n]
+			vals[n] = fc
 		} else {
 			radius *= 0.5
 			resetSimplex(bf, pts, vals, radius)
@@ -341,14 +348,14 @@ func (o Options) snapshotCOBYLA(iter int, bf *budgetFn, pts [][]float64, vals []
 }
 
 // resetSimplex rebuilds the simplex around the current best point with a
-// smaller spread.
+// smaller spread, rewriting the other rows in place.
 func resetSimplex(bf *budgetFn, pts [][]float64, vals []float64, radius float64) {
 	order(pts, vals)
 	n := len(pts) - 1
 	for i := 0; i < n; i++ {
-		p := append([]float64(nil), pts[0]...)
+		p := pts[i+1]
+		copy(p, pts[0])
 		p[i] += radius
-		pts[i+1] = p
 		vals[i+1], _ = bf.call(p)
 	}
 }

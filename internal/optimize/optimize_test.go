@@ -171,3 +171,32 @@ func TestMinimizeDispatchPowell(t *testing.T) {
 		t.Errorf("dispatching powell: f=%v", res.F)
 	}
 }
+
+// TestCOBYLAIterationsAllocFlat gates COBYLA's iterations: a 30-iteration
+// run, which both accepts candidates and resets its simplex, allocates
+// what a 1-iteration run does, the run's buffers and nothing per
+// iteration.
+func TestCOBYLAIterationsAllocFlat(t *testing.T) {
+	x0 := []float64{2.5, -1.5, 0.75, 1.25, -0.5}
+	accepted, resets := 0, 0
+	best := math.Inf(1)
+	obs := Options{MaxIter: 30, Step: 0.5, OnIteration: func(_ int, bestF float64, _ []float64) {
+		if bestF < best {
+			accepted++
+		} else {
+			resets++
+		}
+		best = bestF
+	}}
+	if res := COBYLA(cosSurface, x0, obs); res.Iters != 30 || accepted == 0 || resets == 0 {
+		t.Fatalf("the 30-iteration run ran %d iterations, %d improving and %d not; want 30 with both kinds", res.Iters, accepted, resets)
+	}
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			COBYLA(cosSurface, x0, Options{MaxIter: iters, Step: 0.5})
+		})
+	}
+	if one, many := allocs(1), allocs(30); many != one {
+		t.Fatalf("COBYLA allocates %v times over 30 iterations and %v over 1; want the same", many, one)
+	}
+}

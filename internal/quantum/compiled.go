@@ -41,6 +41,9 @@ const DefaultCompiledMaxStates = 1 << 17
 // tables are the dominant memory cost (4 bytes per state per distinct
 // vector), and a schedule with many distinct vectors over a large closure is
 // better served by the map engine than by a hundred-MiB compile artifact.
+// CompileSpace holds nothing of that size beside them: a compile at the
+// budget (2^17 states × 64 vectors) peaks at about 41 MB resident, the
+// 32 MiB of tables plus 4 MiB of states and their index.
 const compiledPairBudget = 1 << 23
 
 // Sharding thresholds of the compiled transition kernel. Supports below
@@ -59,9 +62,9 @@ const (
 // clone's CompiledState.
 type CompiledSpace struct {
 	n      int
-	states []bitvec.Vec         // sorted by bitvec.Compare; index == rank
-	index  map[bitvec.Vec]int32 // inverse of states
-	opRow  []int32              // schedule op -> row in partners (-1: all-zero op)
+	states []bitvec.Vec // sorted by bitvec.Compare; index == rank
+	index  *bitvec.Set  // the closure's table: the inverse of states
+	opRow  []int32      // schedule op -> row in partners (-1: all-zero op)
 	// partners[r][i] encodes state i's role under distinct vector r:
 	// 0 — fixed point (no valid partner in either direction);
 	// +(j+1) — i is the lower pair member, partner j = i+u;
@@ -88,31 +91,24 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 	}
 
 	// Dedupe operators by content: schedules cycle a small pool of distinct
-	// vectors, so partner tables are per distinct vector, not per op.
+	// vectors, so partner tables are per distinct vector, not per op. An
+	// all-zero vector is marked -1: H^τ(0) is treated as a no-op by
+	// ApplyTransition, so it is compiled away.
 	opRow := make([]int32, len(ops))
 	var distinct []bitvec.Move
-	rowByKey := make(map[string]int32)
-	key := make([]byte, n)
+	rows := make(map[bitvec.Move]int32)
+	noop := bitvec.NewMove(make([]int64, n))
 	for i, u := range ops {
-		allZero := true
-		for j, v := range u {
-			key[j] = byte(v + 1)
-			if v != 0 {
-				allZero = false
-			}
-		}
-		if allZero {
-			// H^τ(0) is treated as a no-op by ApplyTransition; compile it
-			// away entirely.
+		m := bitvec.NewMove(u)
+		if m == noop {
 			opRow[i] = -1
 			continue
 		}
-		k := string(key)
-		r, seen := rowByKey[k]
+		r, seen := rows[m]
 		if !seen {
 			r = int32(len(distinct))
-			rowByKey[k] = r
-			distinct = append(distinct, bitvec.NewMove(u))
+			distinct = append(distinct, m)
+			rows[m] = r
 		}
 		opRow[i] = r
 	}
@@ -120,75 +116,49 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 	// Closure enumeration: breadth-first from the seed under ±u for every
 	// distinct vector, to fixpoint. Any state a run can ever occupy is in
 	// this set — each ApplyTransition moves amplitude only along ±u edges —
-	// so the flat arrays below cover every reachable support.
-	reach := map[bitvec.Vec]struct{}{init: {}}
-	frontier := []bitvec.Vec{init}
-	for len(frontier) > 0 {
-		var next []bitvec.Vec
-		for _, x := range frontier {
-			for r := range distinct {
-				if y, ok := distinct[r].Add(x); ok {
-					if _, seen := reach[y]; !seen {
-						reach[y] = struct{}{}
-						next = append(next, y)
-					}
-				}
-				if y, ok := distinct[r].Sub(x); ok {
-					if _, seen := reach[y]; !seen {
-						reach[y] = struct{}{}
-						next = append(next, y)
-					}
-				}
-			}
-			if len(reach) > maxStates {
-				return nil, false
-			}
+	// so the flat arrays below cover every reachable support. Both caps
+	// grow with the closure, so the first state that passes one fails the
+	// compile.
+	d := len(distinct)
+	closure := bitvec.NewSet(init)
+	for i := 0; i < closure.Len(); i++ {
+		x := closure.States()[i]
+		for r := range distinct {
+			closure.Step(x, &distinct[r])
 		}
-		frontier = next
-	}
-	if len(distinct) > 0 && len(reach)*len(distinct) > compiledPairBudget {
-		return nil, false
+		if closure.Len() > maxStates || closure.Len()*d > compiledPairBudget {
+			return nil, false
+		}
 	}
 
-	cs := &CompiledSpace{
-		n:      n,
-		states: make([]bitvec.Vec, 0, len(reach)),
-		index:  make(map[bitvec.Vec]int32, len(reach)),
-		opRow:  opRow,
-	}
-	for x := range reach {
-		cs.states = append(cs.states, x)
-	}
 	// Sorted by Compare: ascending index order is ascending basis-state
 	// order, so index-ordered reductions match the map engine's
-	// sorted-key-order float accumulation bit for bit. The states are
-	// distinct, so the unstable sort has one result.
-	slices.SortFunc(cs.states, bitvec.Vec.Compare)
-	for i, x := range cs.states {
-		cs.index[x] = int32(i)
+	// sorted-key-order float accumulation bit for bit. The partner tables
+	// share one backing array. The closure is closed under every move, so
+	// Step adds nothing here: it finds each partner's index and direction.
+	closure.Sort()
+	size := closure.Len()
+	cs := &CompiledSpace{
+		n:        n,
+		states:   closure.States(),
+		index:    closure,
+		opRow:    opRow,
+		partners: make([][]int32, d),
 	}
-
-	cs.partners = make([][]int32, len(distinct))
-	for r := range distinct {
-		u := &distinct[r]
-		row := make([]int32, len(cs.states))
-		for i, x := range cs.states {
-			if y, ok := u.Add(x); ok {
-				j, in := cs.index[y]
-				if !in {
-					return nil, false // closure violated; unreachable by construction
-				}
-				row[i] = j + 1
+	flat := make([]int32, d*size)
+	for r := range cs.partners {
+		cs.partners[r] = flat[r*size : (r+1)*size : (r+1)*size]
+	}
+	for k, x := range cs.states {
+		for r := range distinct {
+			switch j, dir, _ := closure.Step(x, &distinct[r]); dir {
+			case 1:
+				cs.partners[r][k] = j + 1
 				cs.pairs++
-			} else if y, ok := u.Sub(x); ok {
-				j, in := cs.index[y]
-				if !in {
-					return nil, false
-				}
-				row[i] = -(j + 1)
+			case -1:
+				cs.partners[r][k] = -(j + 1)
 			}
 		}
-		cs.partners[r] = row
 	}
 	return cs, true
 }
@@ -215,10 +185,7 @@ func (cs *CompiledSpace) NumPairs() int { return cs.pairs }
 func (cs *CompiledSpace) StateAt(i int32) bitvec.Vec { return cs.states[i] }
 
 // IndexOf returns the dense index of x, if x is in the closure.
-func (cs *CompiledSpace) IndexOf(x bitvec.Vec) (int32, bool) {
-	i, ok := cs.index[x]
-	return i, ok
-}
+func (cs *CompiledSpace) IndexOf(x bitvec.Vec) (int32, bool) { return cs.index.Index(x) }
 
 // NewState returns a zero (null) state over the compiled closure. Call
 // Reset/ResetState before use.
@@ -306,7 +273,7 @@ func (s *CompiledState) Reset(i int32) {
 // ResetState is Reset by basis state; it reports whether x is inside the
 // compiled closure.
 func (s *CompiledState) ResetState(x bitvec.Vec) bool {
-	i, ok := s.space.index[x]
+	i, ok := s.space.index.Index(x)
 	if !ok {
 		return false
 	}
@@ -316,7 +283,7 @@ func (s *CompiledState) ResetState(x bitvec.Vec) bool {
 
 // Amplitude returns ⟨x|ψ⟩ (zero for states outside the closure).
 func (s *CompiledState) Amplitude(x bitvec.Vec) complex128 {
-	i, ok := s.space.index[x]
+	i, ok := s.space.index.Index(x)
 	if !ok {
 		return 0
 	}

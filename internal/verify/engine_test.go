@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"rasengan/internal/core"
@@ -112,12 +113,11 @@ func TestCompiledEngineCancellationMidIteration(t *testing.T) {
 	p := problems.Benchmark{Family: problems.Families[0], Scale: 1}.Generate(0)
 	for _, engine := range []string{core.EngineMap, core.EngineCompiled} {
 		ctx, cancel := context.WithCancel(context.Background())
-		evals := 0
+		// The starts evaluate concurrently, so the count is atomic.
+		var evals atomic.Int64
 		core.SetFaultHook(func(stage string) {
-			if stage == core.FaultIteration {
-				if evals++; evals == 5 {
-					cancel()
-				}
+			if stage == core.FaultIteration && evals.Add(1) == 5 {
+				cancel()
 			}
 		})
 		opts := core.Options{MaxIter: 500, Seed: 1}
