@@ -36,23 +36,25 @@ func (e jobEntry) resubmitBody() []byte {
 }
 
 // jobMap is a bounded id → entry index with FIFO eviction, the same
-// ring-buffer shape as the service's job retention. Entries for jobs
+// ring-buffer shape as the service's job retention. The ring grows as
+// ids arrive and turns over once it holds capacity of them, so a gateway
+// that proxies few jobs never pays for the full ring. Entries for jobs
 // the gateway never submitted (e.g. after a gateway restart) are
 // reconstructed statelessly from the id's "<backend>." prefix, so
 // eviction only costs the failover stash, never resolvability.
 type jobMap struct {
 	mu       sync.Mutex
 	byID     map[string]*jobEntry
-	retained []string
+	retained []string // in arrival order from head, wrapping once full
 	head     int
-	count    int
+	capacity int
 }
 
 func newJobMap(capacity int) *jobMap {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &jobMap{byID: map[string]*jobEntry{}, retained: make([]string, capacity)}
+	return &jobMap{byID: map[string]*jobEntry{}, capacity: capacity}
 }
 
 func (m *jobMap) put(id string, e *jobEntry) {
@@ -62,13 +64,12 @@ func (m *jobMap) put(id string, e *jobEntry) {
 		m.byID[id] = e
 		return
 	}
-	if m.count < len(m.retained) {
-		m.retained[(m.head+m.count)%len(m.retained)] = id
-		m.count++
+	if len(m.retained) < m.capacity {
+		m.retained = append(m.retained, id)
 	} else {
 		delete(m.byID, m.retained[m.head])
 		m.retained[m.head] = id
-		m.head = (m.head + 1) % len(m.retained)
+		m.head = (m.head + 1) % m.capacity
 	}
 	m.byID[id] = e
 }

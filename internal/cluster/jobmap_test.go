@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,4 +42,29 @@ func FuzzSplitJobID(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestJobMapGrowsThenEvictsOldest: the ring holds only the ids that have
+// arrived until it reaches its capacity, then evicts in arrival order.
+func TestJobMapGrowsThenEvictsOldest(t *testing.T) {
+	m := newJobMap(4)
+	for i := 0; i < 3; i++ {
+		m.put(strconv.Itoa(i), &jobEntry{backend: "n1"})
+	}
+	if len(m.retained) != 3 {
+		t.Fatalf("ring holds %d slots after 3 puts, want 3", len(m.retained))
+	}
+	m.put("1", &jobEntry{backend: "n2"}) // an update takes no slot
+	for i := 3; i < 7; i++ {
+		m.put(strconv.Itoa(i), &jobEntry{backend: "n1"})
+	}
+	if len(m.retained) != 4 {
+		t.Fatalf("ring holds %d slots, want its capacity 4", len(m.retained))
+	}
+	for i := 0; i < 7; i++ {
+		_, ok := m.get(strconv.Itoa(i))
+		if want := i >= 3; ok != want {
+			t.Errorf("id %d resident %v, want %v", i, ok, want)
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -281,7 +282,10 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 	if initT == 0 {
 		initT = math.Pi / 4
 	}
-	rng := rand.New(rand.NewSource(opts.Seed + 7))
+	// Reseeding a pooled source draws exactly what a fresh
+	// rand.NewSource(opts.Seed+7) would, without allocating its table.
+	rng := startRands.Get().(*rand.Rand)
+	rng.Seed(opts.Seed + 7)
 
 	// Multi-start: the segmented landscape is piecewise and a single
 	// derivative-free descent can stall, so the iteration budget is split
@@ -292,6 +296,7 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 		constVec(exec.NumParams(), math.Pi/2*0.98),
 		randVec(exec.NumParams(), rng),
 	}
+	startRands.Put(rng)
 	if len(opts.InitialTimes) == exec.NumParams() {
 		starts[0] = append([]float64(nil), opts.InitialTimes...)
 	}
@@ -781,6 +786,10 @@ func constVec(n int, v float64) []float64 {
 	}
 	return out
 }
+
+// startRands recycles the random start's math/rand sources; Solve
+// reseeds one per call.
+var startRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 func randVec(n int, rng *rand.Rand) []float64 {
 	out := make([]float64, n)

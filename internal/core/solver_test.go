@@ -368,3 +368,20 @@ func TestSolveFallsBackToWinningStartDistribution(t *testing.T) {
 		t.Fatalf("result distribution %v, want the winning start's last %v", res.Distribution, want)
 	}
 }
+
+// TestStartRandsReseedMatchesFresh: a pooled source reseeded for a solve
+// draws exactly what a fresh rand.NewSource(seed) draws, whatever the
+// pooled source drew before, so the random start stays bit-identical.
+func TestStartRandsReseedMatchesFresh(t *testing.T) {
+	for seed := int64(-500); seed < 1500; seed++ {
+		pooled := startRands.Get().(*rand.Rand)
+		pooled.Seed(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for d := 0; d < 40; d++ {
+			if a, b := pooled.Float64(), fresh.Float64(); a != b {
+				t.Fatalf("seed %d draw %d: pooled %v, fresh %v", seed, d, a, b)
+			}
+		}
+		startRands.Put(pooled)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -189,23 +191,42 @@ func (s *jobStore) createDone(result []byte, cached bool) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	j := &job{
-		id:      fmt.Sprintf("job-%08d", s.seq),
-		seq:     s.seq,
-		ctx:     ctx,
-		cancel:  cancel,
-		status:  api.StatusDone,
-		result:  result,
-		cached:  cached,
-		settled: true,
-		done:    make(chan struct{}),
-	}
-	close(j.done)
+	j := terminalJob(fmt.Sprintf("job-%08d", s.seq), s.seq, api.StatusDone, result, "")
+	j.cached = cached
 	s.byID[j.id] = j
 	s.retain(j.id)
 	return j
+}
+
+// Jobs created terminal (cache hits, journal restores) never run, so
+// they all share one cancelled context and one closed done channel.
+var (
+	terminalCtx, terminalCancel = func() (context.Context, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return ctx, cancel
+	}()
+	terminalDone = func() chan struct{} {
+		c := make(chan struct{})
+		close(c)
+		return c
+	}()
+)
+
+// terminalJob builds a job that is terminal from the start; finish
+// never runs on it, so the shared done channel is never closed twice.
+func terminalJob(id string, seq uint64, status api.Status, result []byte, errMsg string) *job {
+	return &job{
+		id:      id,
+		seq:     seq,
+		ctx:     terminalCtx,
+		cancel:  terminalCancel,
+		status:  status,
+		result:  result,
+		errMsg:  errMsg,
+		settled: true,
+		done:    terminalDone,
+	}
 }
 
 // settle removes the job from the in-flight index once terminal and
@@ -257,20 +278,21 @@ func (s *jobStore) lookupInflight(key string) (*job, bool) {
 // seqFromID recovers the submit sequence embedded in a job id; 0 for
 // foreign ids (which then sort first, by id, among themselves).
 func seqFromID(id string) uint64 {
-	var n uint64
-	if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil {
+	digits, ok := strings.CutPrefix(id, "job-")
+	if !ok {
+		return 0
+	}
+	n, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
 		return 0
 	}
 	return n
 }
 
-// bumpSeq advances the id sequence past a recovered job id, so jobs
-// accepted after a restart never collide with journaled ones.
-func (s *jobStore) bumpSeq(id string) {
-	n := seqFromID(id)
-	if n == 0 {
-		return
-	}
+// bumpSeq advances the id sequence to at least n, the largest sequence
+// recovered from the journal, so jobs accepted after a restart never
+// collide with journaled ones.
+func (s *jobStore) bumpSeq(n uint64) {
 	s.mu.Lock()
 	if n > s.seq {
 		s.seq = n
@@ -278,39 +300,26 @@ func (s *jobStore) bumpSeq(id string) {
 	s.mu.Unlock()
 }
 
-// restoreTerminal registers a terminal job under its original id
-// (journal recovery: the job stays queryable across restarts).
-func (s *jobStore) restoreTerminal(id string, status api.Status, result []byte, errMsg string) *job {
+// restoreTerminal registers a terminal job under its original id and
+// sequence (journal recovery: the job stays queryable across restarts).
+func (s *jobStore) restoreTerminal(id string, seq uint64, status api.Status, result []byte, errMsg string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	j := &job{
-		id:      id,
-		seq:     seqFromID(id),
-		ctx:     ctx,
-		cancel:  cancel,
-		status:  status,
-		result:  result,
-		errMsg:  errMsg,
-		settled: true,
-		done:    make(chan struct{}),
-	}
-	close(j.done)
+	j := terminalJob(id, seq, status, result, errMsg)
 	s.byID[id] = j
 	s.retain(id)
 	return j
 }
 
-// restoreActive registers a recovered queued job under its original id;
-// the caller submits it to the queue.
-func (s *jobStore) restoreActive(base context.Context, id, key string, p *problems.Problem, opts core.Options, deadline time.Duration) *job {
+// restoreActive registers a recovered queued job under its original id
+// and sequence; the caller submits it to the queue.
+func (s *jobStore) restoreActive(base context.Context, id string, seq uint64, key string, p *problems.Problem, opts core.Options, deadline time.Duration) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(base, deadline)
 	j := &job{
 		id:       id,
-		seq:      seqFromID(id),
+		seq:      seq,
 		key:      key,
 		problem:  p,
 		opts:     opts,

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"rasengan/internal/api"
 	"rasengan/internal/core"
 	"rasengan/internal/obs"
+	"rasengan/internal/parallel"
 	"rasengan/internal/problems"
 	"rasengan/internal/store"
 )
@@ -55,74 +57,98 @@ type jobPayload struct {
 }
 
 // openPersistence opens the journal, blob store, and warm-start store
-// under dataDir, returning the recovered journal entries.
-func openPersistence(dataDir string, warmCapacity int) (*persistence, []store.JobEntry, error) {
-	journal, entries, err := store.OpenJournal(dataDir)
+// under dataDir. The journal keeps the newest retention terminal jobs
+// and every interrupted one, and has compacted that set by the time it
+// returns; replayed counts the entries it held before retention.
+func openPersistence(dataDir string, warmCapacity, retention int) (p *persistence, kept []store.JobEntry, replayed int, err error) {
+	journal, kept, err := store.OpenJournalRetaining(dataDir, func(entries []store.JobEntry) []store.JobEntry {
+		replayed = len(entries)
+		return retainNewestTerminal(entries, retention)
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	blobs, err := store.OpenBlobStore(filepath.Join(dataDir, "blobs"))
 	if err != nil {
 		journal.Close()
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	warm, err := store.OpenWarmStore(filepath.Join(dataDir, "warmstart.json"), warmCapacity)
 	if err != nil {
 		journal.Close()
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return &persistence{journal: journal, blobs: blobs, warm: warm}, entries, nil
+	return &persistence{journal: journal, blobs: blobs, warm: warm}, kept, replayed, nil
 }
 
-// recover rebuilds server state from journal entries: terminal jobs are
-// restored queryable (done jobs also rehydrate the cache from blobs),
-// and interrupted jobs re-enter the queue under their original ids.
-// Terminal entries beyond the retention bound are dropped, and the
-// journal is re-compacted to the kept set so it cannot grow across
-// restart cycles.
-func (s *Server) recover(entries []store.JobEntry) error {
-	var kept []store.JobEntry
-	terminalStart := 0
-	// Count terminal entries so only the newest `retention` are kept.
-	terminals := 0
+// retainNewestTerminal drops all but the newest retention terminal
+// entries, keeping journal order; queued and running entries all stay.
+func retainNewestTerminal(entries []store.JobEntry, retention int) []store.JobEntry {
+	drop := -retention
 	for _, e := range entries {
 		if isTerminalState(e.State) {
-			terminals++
+			drop++
 		}
 	}
-	drop := terminals - s.cfg.JobRetention
+	if drop <= 0 {
+		return entries
+	}
+	kept := make([]store.JobEntry, 0, len(entries)-drop)
 	for _, e := range entries {
-		if isTerminalState(e.State) && terminalStart < drop {
-			terminalStart++
+		if isTerminalState(e.State) && drop > 0 {
+			drop--
 			continue
 		}
 		kept = append(kept, e)
 	}
+	return kept
+}
 
-	for _, e := range kept {
-		s.jobs.bumpSeq(e.ID)
+// recover rebuilds server state from the journal entries Open kept:
+// terminal jobs are restored queryable (done jobs also rehydrate the
+// cache from blobs), and interrupted jobs re-enter the queue under their
+// original ids. A re-enqueued job starts running, and journaling, at
+// once, which is why the journal compacts before returning the entries
+// rather than after this (see store.OpenJournalRetaining).
+func (s *Server) recover(entries []store.JobEntry, replayed int) {
+	// Read and verify the done jobs' blobs on the shared pool first, then
+	// restore in journal order, so the cache's LRU order and the
+	// retention order follow the journal.
+	type blobRead struct {
+		payload []byte
+		err     error
+	}
+	reads := make([]blobRead, len(entries))
+	parallel.For(len(entries), func(i int) {
+		if e := &entries[i]; e.State == string(api.StatusDone) {
+			reads[i].payload, reads[i].err = s.persist.blobs.Get(e.Blob)
+		}
+	})
+	var maxSeq uint64
+	for i, e := range entries {
+		seq := seqFromID(e.ID)
+		maxSeq = max(maxSeq, seq)
 		switch e.State {
 		case string(api.StatusDone):
-			var pl jobPayload
-			payload, err := s.persist.blobs.Get(e.Blob)
-			if err != nil || json.Unmarshal(e.Data, &pl) != nil {
+			key, err := payloadKey(e.Data)
+			if reads[i].err != nil || err != nil {
 				s.log.Warn("recovery: dropping done job with unreadable result", "job_id", e.ID, "blob", e.Blob)
 				continue
 			}
-			if pl.Key != "" {
+			if key != "" {
 				// Width unknown until the first hit builds the problem, so
 				// recovery builds nothing.
-				s.cache.Put(pl.Key, payload, 0)
+				s.cache.Put(key, reads[i].payload, 0)
 			}
-			s.jobs.restoreTerminal(e.ID, api.StatusDone, payload, "")
+			s.jobs.restoreTerminal(e.ID, seq, api.StatusDone, reads[i].payload, "")
 			s.jobsRecovered.Inc()
 		case string(api.StatusFailed), string(api.StatusCanceled):
-			s.jobs.restoreTerminal(e.ID, api.Status(e.State), nil, e.Error)
+			s.jobs.restoreTerminal(e.ID, seq, api.Status(e.State), nil, e.Error)
 			s.jobsRecovered.Inc()
 		case string(api.StatusQueued), string(api.StatusRunning):
-			if err := s.reenqueue(e); err != nil {
+			if err := s.reenqueue(e, seq); err != nil {
 				s.log.Warn("recovery: could not re-enqueue job", "job_id", e.ID, "error", err.Error())
-				s.jobs.restoreTerminal(e.ID, api.StatusFailed, nil, "lost at restart: "+err.Error())
+				s.jobs.restoreTerminal(e.ID, seq, api.StatusFailed, nil, "lost at restart: "+err.Error())
 			} else {
 				s.jobsRecovered.Inc()
 			}
@@ -130,16 +156,133 @@ func (s *Server) recover(entries []store.JobEntry) error {
 			s.log.Warn("recovery: unknown journal state", "job_id", e.ID, "state", e.State)
 		}
 	}
-	if len(entries) > 0 {
+	// Every kept id, dropped ones included, stays reserved. Nothing mints
+	// an id before Open returns, so one bump after the loop suffices.
+	s.jobs.bumpSeq(maxSeq)
+	if replayed > 0 {
 		s.events.Record(obs.SevInfo, obs.EventWALRecovery, "", "",
-			fmt.Sprintf("replayed %d journal entries, recovered %.0f jobs", len(entries), s.jobsRecovered.Value()))
+			fmt.Sprintf("replayed %d journal entries, recovered %.0f jobs", replayed, s.jobsRecovered.Value()))
 	}
-	return s.persist.journal.Compact(kept)
+}
+
+// payloadKey returns the cache key of a journaled submission payload,
+// all that recovering a done job needs of it. data is valid JSON, as
+// every Data the journal returns is. A payload in the form
+// json.Marshal(jobPayload) writes is scanned for its "key" member
+// without decoding the spec and config before it; any other form is
+// decoded with encoding/json, so the key and the error are always what
+// json.Unmarshal gives.
+func payloadKey(data []byte) (string, error) {
+	if key, ok := scanPayloadKey(data); ok {
+		return key, nil
+	}
+	var pl struct {
+		Key string `json:"key"`
+	}
+	err := json.Unmarshal(data, &pl)
+	return pl.Key, err
+}
+
+// scanPayloadKey reads the "key" member of valid JSON data that is a
+// compact object with plain-ASCII member names and exactly one "key"
+// member, itself a plain-ASCII string. ok is false for any other shape:
+// a member name that differs from "key" only in case (encoding/json
+// would match it), an escape, or whitespace where the scan expects a
+// quote, colon or comma.
+func scanPayloadKey(data []byte) (key string, ok bool) {
+	if len(data) < 2 || data[0] != '{' {
+		return "", false
+	}
+	found := false
+	i := 1
+	for i < len(data) && data[i] != '}' {
+		name, next, plain := plainJSONString(data, i)
+		if !plain || next >= len(data) || data[next] != ':' {
+			return "", false
+		}
+		i = next + 1
+		switch {
+		case name == "key":
+			if found {
+				return "", false
+			}
+			if key, i, plain = plainJSONString(data, i); !plain {
+				return "", false
+			}
+			found = true
+		case strings.EqualFold(name, "key"):
+			return "", false
+		default:
+			if i = skipJSONValue(data, i); i < 0 {
+				return "", false
+			}
+		}
+		if i < len(data) && data[i] == ',' {
+			i++
+		}
+	}
+	return key, i == len(data)-1
+}
+
+// plainJSONString reads the JSON string at data[i] when it holds only
+// printable ASCII without escapes, returning it and the index past its
+// closing quote.
+func plainJSONString(data []byte, i int) (s string, next int, ok bool) {
+	if i >= len(data) || data[i] != '"' {
+		return "", 0, false
+	}
+	for j := i + 1; j < len(data); j++ {
+		switch c := data[j]; {
+		case c == '"':
+			return string(data[i+1 : j]), j + 1, true
+		case c < 0x20 || c >= 0x7f || c == '\\':
+			return "", 0, false
+		}
+	}
+	return "", 0, false
+}
+
+// skipJSONValue returns the index just past the value that starts at
+// data[i] inside an object of valid JSON: past the closing quote or
+// bracket of a string, object or array, or at the comma or brace that
+// ends a scalar. -1 if data ends first.
+func skipJSONValue(data []byte, i int) int {
+	depth := 0
+	for ; i < len(data); i++ {
+		switch data[i] {
+		case '"':
+			for i++; i < len(data) && data[i] != '"'; i++ {
+				if data[i] == '\\' {
+					i++
+				}
+			}
+			if i >= len(data) {
+				return -1
+			}
+			if depth == 0 {
+				return i + 1
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return i
+			}
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case ',':
+			if depth == 0 {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // reenqueue rebuilds one interrupted job from its journaled payload and
 // submits it under its original id.
-func (s *Server) reenqueue(e store.JobEntry) error {
+func (s *Server) reenqueue(e store.JobEntry, seq uint64) error {
 	var pl jobPayload
 	if err := json.Unmarshal(e.Data, &pl); err != nil {
 		return fmt.Errorf("payload: %w", err)
@@ -158,7 +301,7 @@ func (s *Server) reenqueue(e store.JobEntry) error {
 	}
 	// Replay the resolved warm start verbatim; see jobPayload.
 	opts.InitialTimes = pl.InitialTimes
-	j := s.jobs.restoreActive(context.Background(), e.ID, pl.Key, p, opts, s.deadlineFor(pl.TimeoutMS))
+	j := s.jobs.restoreActive(context.Background(), e.ID, seq, pl.Key, p, opts, s.deadlineFor(pl.TimeoutMS))
 	j.family, j.scale = pl.Family, pl.Scale
 	if err := s.queue.Submit(j); err != nil {
 		j.finish(api.StatusCanceled, nil, "not enqueued at recovery")

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -325,4 +327,212 @@ func grepMetrics(text, needle string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestReplayedJobRecordsSurviveRestart: jobs re-enqueued at a restart
+// start running while Open is still recovering, and every record they
+// journal must survive into the next start. Thirty jobs are interrupted
+// by a crash, finish on the restarted server and shut down cleanly; a
+// third start, under a solver that never returns, must find every one of
+// them done. A compaction that ran after the re-enqueue would reset the
+// WAL under those jobs and bring them back queued.
+func TestReplayedJobRecordsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	const n = 30
+	block := make(chan struct{})
+	a, tsA := openDurable(t, Config{DataDir: dir, Solve: stubSolve(block)})
+	ids := make([]string, n)
+	for i := range ids {
+		body := fmt.Sprintf(`{"spec":{"family":"FLP","scale":1,"case":0},"config":{"seed":%d,"max_iter":5}}`, i+1)
+		code, sr, _ := postSolve(t, tsA, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: code %d status %s", i, code, sr.Status)
+		}
+		ids[i] = sr.JobID
+	}
+	// Crash: the journal closes with every job queued or running.
+	if err := a.persist.journal.Close(); err != nil {
+		t.Fatalf("simulated crash: %v", err)
+	}
+	close(block)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	_ = a.Drain(ctx)
+	tsA.Close()
+
+	// Restart with an instant solver: every job re-runs to done.
+	b, tsB := openDurable(t, Config{DataDir: dir, Solve: stubSolve(nil)})
+	for _, id := range ids {
+		j, ok := b.jobs.get(id)
+		if !ok {
+			t.Fatalf("job %s not recovered", id)
+		}
+		select {
+		case <-j.done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("replayed job %s never finished", id)
+		}
+		if v := j.snapshot(); v.Status != api.StatusDone {
+			t.Fatalf("replayed job %s ended %s (%q)", id, v.Status, v.Error)
+		}
+	}
+	shutdown(t, b, tsB)
+
+	// Restart with a solver that never finishes: a job whose records were
+	// lost re-enqueues and stays queued or running.
+	never := make(chan struct{})
+	c, tsC := openDurable(t, Config{DataDir: dir, Solve: stubSolve(never)})
+	defer func() {
+		close(never)
+		shutdown(t, c, tsC)
+	}()
+	var lost []string
+	for _, id := range ids {
+		j, ok := c.jobs.get(id)
+		if !ok {
+			lost = append(lost, id+" missing")
+			continue
+		}
+		if v := j.snapshot(); v.Status != api.StatusDone {
+			lost = append(lost, id+" "+string(v.Status))
+		}
+	}
+	if len(lost) > 0 {
+		t.Fatalf("%d of %d jobs lost their journaled completion across a restart: %v", len(lost), n, lost)
+	}
+}
+
+// TestOpenCompactsOnce: an open writes one snapshot and resets the WAL
+// once, whether retention drops nothing or drops jobs, so the WAL's fsync
+// count right after Open is that one reset; on a new directory the
+// header's fsync comes first.
+func TestOpenCompactsOnce(t *testing.T) {
+	dir := t.TempDir()
+	a, tsA := openDurable(t, Config{DataDir: dir, Solve: stubSolve(nil)})
+	if got := a.persist.journal.Syncs(); got != 2 {
+		t.Errorf("new directory: %d WAL fsyncs during Open, want 2 (header, one compaction)", got)
+	}
+	for i := 0; i < 4; i++ {
+		body := fmt.Sprintf(`{"spec":{"family":"FLP","scale":1,"case":%d},"wait_ms":60000}`, i)
+		if code, sr, _ := postSolve(t, tsA, body); code != http.StatusOK || sr.Status != api.StatusDone {
+			t.Fatalf("solve %d: code %d status %s", i, code, sr.Status)
+		}
+	}
+	shutdown(t, a, tsA)
+
+	for _, tc := range []struct{ retention, recovered int }{{8, 4}, {2, 2}, {8, 2}} {
+		s, ts := openDurable(t, Config{DataDir: dir, JobRetention: tc.retention, Solve: stubSolve(nil)})
+		syncs, recovered := s.persist.journal.Syncs(), s.jobsRecovered.Value()
+		shutdown(t, s, ts)
+		if syncs != 1 {
+			t.Errorf("retention %d: %d WAL fsyncs during Open, want 1 (one compaction)", tc.retention, syncs)
+		}
+		// The last open finds only what the retention-2 open compacted.
+		if int(recovered) != tc.recovered {
+			t.Errorf("retention %d: recovered %.0f jobs, want %d", tc.retention, recovered, tc.recovered)
+		}
+	}
+}
+
+// FuzzPayloadKey: on any valid JSON, the cache key recovery reads from a
+// journaled payload, and whether reading it fails, are what decoding the
+// payload with encoding/json gives, whether the scan or the decoder
+// answered.
+func FuzzPayloadKey(f *testing.F) {
+	real, err := json.Marshal(jobPayload{Spec: json.RawMessage(`{"problem":{"name":"a \"key\": b","n":2}}`),
+		Config: api.Config{Seed: 3}, Key: "ab/cd", Problem: "F1/case0", Family: "FLP", Scale: 1, InitialTimes: []float64{0.5}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(real), `{}`, `{"key":"x"}`, `{"Key":"x"}`, `{"key":"a","key":"b"}`, `{"key":null}`, `{"key":1}`,
+		`{"spec":{"key":"inner"},"key":"outer"}`, `{"spec":"}\"{,","key":"k"}`, `{"a":[1,{"b":[]}],"key":"k","c":true}`,
+		`[]`, `null`, `"key"`, `{"a": 1,"key":"x"}`, `{"key":"x"}`, `{"key":"é"}`, `{"K":"x","key":"y"}`,
+		"{\"\u212aey\":\"x\"}", `{ "key" : "x" }`, `{"a":1 ,"key":"x"}`, `{"key":"x","a":{}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !json.Valid(data) {
+			return // the journal only returns Data it decoded
+		}
+		var pl struct {
+			Key string `json:"key"`
+		}
+		wantErr := json.Unmarshal(data, &pl)
+		key, err := payloadKey(data)
+		if key != pl.Key || (err == nil) != (wantErr == nil) {
+			t.Fatalf("payloadKey(%q) = %q, %v; json.Unmarshal gives %q, %v", data, key, err, pl.Key, wantErr)
+		}
+	})
+}
+
+// TestSeqFromID: recovery reads the submit sequence out of every id the
+// service mints, past the 8-digit padding too, and 0 out of any other id.
+func TestSeqFromID(t *testing.T) {
+	for id, want := range map[string]uint64{
+		"job-00000001": 1, "job-00012345": 12345, "job-123456789": 123456789,
+		"job-": 0, "job-x": 0, "job-12x": 0, "job--1": 0, "n1.job-00000001": 0, "": 0,
+	} {
+		if got := seqFromID(id); got != want {
+			t.Errorf("seqFromID(%q) = %d, want %d", id, got, want)
+		}
+	}
+}
+
+// TestTerminalJobsShareStateConcurrently: cache hits and restored jobs
+// share one cancelled context and one closed done channel; hits, polls,
+// cancels and event streams on them from many goroutines at once stay
+// race-free and terminal.
+func TestTerminalJobsShareStateConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	req := `{"spec":{"family":"FLP","scale":1,"case":0},"wait_ms":60000}`
+	a, tsA := openDurable(t, Config{DataDir: dir, Solve: stubSolve(nil)})
+	code, first, _ := postSolve(t, tsA, req)
+	if code != http.StatusOK || first.Status != api.StatusDone {
+		t.Fatalf("solve: code %d status %s", code, first.Status)
+	}
+	shutdown(t, a, tsA)
+
+	s, ts := openDurable(t, Config{DataDir: dir, Solve: stubSolve(nil)})
+	defer shutdown(t, s, ts)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(req))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var hit api.Job
+				err = json.NewDecoder(resp.Body).Decode(&hit)
+				resp.Body.Close()
+				if err != nil || !hit.Cached {
+					t.Errorf("hit: cached %v err %v", hit.Cached, err)
+					return
+				}
+				for _, id := range []string{hit.JobID, first.JobID} {
+					for _, call := range []func() (*http.Response, error){
+						func() (*http.Response, error) { return http.Post(ts.URL+"/v1/jobs/"+id+"/cancel", "", nil) },
+						func() (*http.Response, error) { return http.Get(ts.URL + "/v1/jobs/" + id + "/events") },
+					} {
+						resp, err := call()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						_, _ = io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+					}
+					if j, ok := s.jobs.get(id); !ok || j.snapshot().Status != api.StatusDone {
+						t.Errorf("job %s not done after concurrent cancels", id)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

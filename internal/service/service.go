@@ -192,7 +192,10 @@ type Server struct {
 	// not rebuild the basis and schedule on every lookup.
 	warmDims sync.Map // string → int
 
-	problemsJSON []byte // precomputed GET /v1/problems body
+	// problemsJSON is the GET /v1/problems body, built on the first
+	// request: a server that is never asked builds nothing.
+	problemsOnce sync.Once
+	problemsJSON []byte
 
 	log *slog.Logger
 
@@ -242,7 +245,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.queue = newJobQueue(cfg.QueueCapacity, cfg.Executors, s.runJob)
 	s.budget = parallel.NewBudget(cfg.WorkerBudget)
-	s.problemsJSON = buildProblemsListing()
 	s.log = cfg.Logger
 	s.events = obs.NewEventRing(cfg.EventRingSize)
 	s.streamSem = make(chan struct{}, cfg.MaxEventStreams)
@@ -320,7 +322,7 @@ func Open(cfg Config) (*Server, error) {
 	})
 
 	if cfg.DataDir != "" {
-		persist, entries, err := openPersistence(cfg.DataDir, cfg.WarmStartCapacity)
+		persist, entries, replayed, err := openPersistence(cfg.DataDir, cfg.WarmStartCapacity, cfg.JobRetention)
 		if err != nil {
 			return nil, err
 		}
@@ -338,10 +340,7 @@ func Open(cfg Config) (*Server, error) {
 		r.GaugeFunc("rasengan_wal_fsyncs", "fsync calls issued by the journal WAL (group commit batches appends).", func() float64 {
 			return float64(persist.journal.Syncs())
 		})
-		if err := s.recover(entries); err != nil {
-			persist.journal.Close()
-			return nil, err
-		}
+		s.recover(entries, replayed)
 	}
 	return s, nil
 }
@@ -814,6 +813,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProblems(w http.ResponseWriter, _ *http.Request) {
+	s.problemsOnce.Do(func() { s.problemsJSON = buildProblemsListing() })
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(s.problemsJSON)
 }
@@ -976,7 +976,7 @@ func (s *Server) finishErr(j *job, err error) {
 	s.log.Info("job cancelled", "job_id", j.id, "spec_hash", j.key)
 }
 
-// buildProblemsListing precomputes the GET /v1/problems body: every
+// buildProblemsListing builds the GET /v1/problems body: every
 // generator family × scale with its instance shape (case 0).
 func buildProblemsListing() []byte {
 	type cell struct {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // Job journal: the durable record of every job the service accepted and
@@ -16,10 +15,14 @@ import (
 //	journal.wal       records appended since that snapshot
 //
 // Appends hit the WAL (durable before the API call returns); opening
-// the journal loads the snapshot, replays the WAL over it, compacts the
-// folded state into a fresh snapshot, and resets the WAL, so the log
-// never grows across restarts. The journal is service-agnostic: a job's
-// submission payload is opaque bytes the caller interprets on replay.
+// the journal loads the snapshot, replays the WAL over it, applies the
+// caller's retention rule, compacts the retained state into a fresh
+// snapshot, and resets the WAL, so the log never grows across restarts.
+// That compaction runs once per open and before the caller sees any
+// entry: nothing the caller starts from those entries can append a
+// record that a later reset would drop. The journal is service-agnostic:
+// a job's submission payload is opaque bytes the caller interprets on
+// replay.
 
 // Journal record types.
 const (
@@ -63,16 +66,25 @@ const snapshotVersion = 1
 
 // Journal is the durable job log.
 type Journal struct {
-	mu  sync.Mutex
 	wal *WAL
 	dir string
 }
 
 // OpenJournal opens the journal under dir (created if missing),
-// returning the recovered jobs in submission order. Recovery is
+// returning every recovered job in submission order. Recovery is
 // crash-tolerant end to end: a torn WAL tail is truncated, and the
-// recovered state is immediately compacted into a fresh snapshot.
+// recovered state is compacted into a fresh snapshot before OpenJournal
+// returns.
 func OpenJournal(dir string) (*Journal, []JobEntry, error) {
+	return OpenJournalRetaining(dir, nil)
+}
+
+// OpenJournalRetaining is OpenJournal with a retention rule: retain
+// receives the recovered jobs in submission order and returns the ones
+// to keep (nil retain keeps all). Only the kept jobs are compacted into
+// the snapshot and returned, so what the caller restores and what the
+// journal holds are the same set.
+func OpenJournalRetaining(dir string, retain func([]JobEntry) []JobEntry) (*Journal, []JobEntry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: journal %s: %w", dir, err)
 	}
@@ -121,10 +133,14 @@ func OpenJournal(dir string) (*Journal, []JobEntry, error) {
 		return nil, nil, err
 	}
 
+	if retain != nil {
+		entries = retain(entries)
+	}
 	j := &Journal{wal: wal, dir: dir}
-	// Compact immediately: the snapshot absorbs everything recovered and
-	// the WAL restarts empty, bounding log growth across restarts.
-	if err := j.compactLocked(entries); err != nil {
+	// Compact before returning, even when the WAL replayed nothing: the
+	// snapshot absorbs everything kept and the WAL restarts empty,
+	// bounding log growth across restarts.
+	if err := j.compact(entries); err != nil {
 		wal.Close()
 		return nil, nil, err
 	}
@@ -176,18 +192,10 @@ func (j *Journal) append(r journalRecord) error {
 	return j.wal.Append(data)
 }
 
-// Compact folds the given entries into the snapshot and resets the WAL.
-// Callers pass their current authoritative view (the service's job
-// store knows more than the journal's fold — e.g. retention evictions).
-func (j *Journal) Compact(entries []JobEntry) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.compactLocked(entries)
-}
-
-func (j *Journal) compactLocked(entries []JobEntry) error {
-	snap := snapshotFile{Version: snapshotVersion, Jobs: entries}
-	data, err := json.Marshal(snap)
+// compact writes entries as the snapshot and resets the WAL. It runs
+// only inside OpenJournalRetaining, before any append.
+func (j *Journal) compact(entries []JobEntry) error {
+	data, err := appendSnapshot(nil, entries)
 	if err != nil {
 		return fmt.Errorf("store: journal snapshot: %w", err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -104,11 +105,15 @@ func TestJournalRecoveryFold(t *testing.T) {
 	}
 }
 
-// TestJournalCompactionBoundsLog: reopening must fold the WAL into the
-// snapshot and reset the log, so repeated restart cycles do not grow
-// the WAL.
+// TestJournalCompactionBoundsLog: every open folds the WAL into the
+// snapshot and resets the log, so restart cycles never grow it. After
+// each open the WAL is its bare header and the snapshot holds every
+// recovered job; after the last close the WAL holds exactly the one
+// record appended since.
 func TestJournalCompactionBoundsLog(t *testing.T) {
 	dir := t.TempDir()
+	walPath := filepath.Join(dir, "journal.wal")
+	var last []byte
 	for cycle := 0; cycle < 3; cycle++ {
 		j, recovered, err := OpenJournal(dir)
 		if err != nil {
@@ -117,20 +122,94 @@ func TestJournalCompactionBoundsLog(t *testing.T) {
 		if len(recovered) != cycle {
 			t.Fatalf("cycle %d recovered %d jobs", cycle, len(recovered))
 		}
-		if err := j.Submit(string(rune('a'+cycle))+"-job", []byte(`{}`)); err != nil {
+		if size := fileSize(t, walPath); size != int64(len(walMagic)) {
+			t.Fatalf("cycle %d: wal is %d bytes after open, want its %d-byte header", cycle, size, len(walMagic))
+		}
+		if snap := readSnapshot(t, dir); len(snap.Jobs) != cycle {
+			t.Fatalf("cycle %d: snapshot holds %d jobs, want %d", cycle, len(snap.Jobs), cycle)
+		}
+		id := string(rune('a'+cycle)) + "-job"
+		if err := j.Submit(id, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
+		last, _ = json.Marshal(journalRecord{Type: recSubmit, ID: id, Data: []byte(`{}`)})
 		j.Close()
 	}
-	// After the last close the WAL holds exactly one record (the
-	// submit appended after compaction).
-	info, err := os.Stat(filepath.Join(dir, "journal.wal"))
+	if size, want := fileSize(t, walPath), int64(len(walMagic)+8+len(last)); size != want {
+		t.Errorf("wal is %d bytes after 3 restart cycles, want %d (header and one record)", size, want)
+	}
+}
+
+// TestJournalRetainingCompactsKeptSetOnce: an open applies the retention
+// rule before its one compaction, so the snapshot and the returned
+// entries are the kept set, and reopening an existing journal issues one
+// WAL fsync: the compaction's reset.
+func TestJournalRetainingCompactsKeptSetOnce(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size() > 256 {
-		t.Errorf("wal is %d bytes after 3 restart cycles; compaction is not bounding it", info.Size())
+	for _, id := range []string{"job-1", "job-2", "job-3", "job-4"} {
+		if err := j.Submit(id, []byte(`{"spec":"<&>"}`)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	j.Close()
+
+	keepEvenIDs := func(entries []JobEntry) []JobEntry {
+		var kept []JobEntry
+		for i, e := range entries {
+			if i%2 == 1 {
+				kept = append(kept, e)
+			}
+		}
+		return kept
+	}
+	j, kept, err := OpenJournalRetaining(dir, keepEvenIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := j.Syncs()
+	j.Close()
+	if len(kept) != 2 || kept[0].ID != "job-2" || kept[1].ID != "job-4" {
+		t.Fatalf("kept %+v, want job-2 and job-4", kept)
+	}
+	if syncs != 1 {
+		t.Errorf("open issued %d WAL fsyncs, want 1 (one compaction)", syncs)
+	}
+	if snap := readSnapshot(t, dir); len(snap.Jobs) != 2 || snap.Jobs[0].ID != "job-2" || string(snap.Jobs[1].Data) != `{"spec":"\u003c\u0026\u003e"}` {
+		t.Fatalf("snapshot holds %+v, want the kept set", snap.Jobs)
+	}
+	_, again, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != 2 || again[0].ID != "job-2" || again[1].ID != "job-4" {
+		t.Fatalf("reopen recovered %+v, want job-2 and job-4", again)
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+func readSnapshot(t *testing.T, dir string) snapshotFile {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "journal.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotFile
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // TestJournalTornRecordRecovery: a torn WAL tail (simulated crash

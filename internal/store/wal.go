@@ -44,7 +44,7 @@ type WAL struct {
 	syncSeq   uint64 // records covered by a completed fsync
 	syncing   bool   // a leader is currently inside fsync
 	err       error  // first write/sync error; the WAL is dead after it
-	syncs     uint64 // fsync calls issued (observability)
+	syncs     uint64 // fsync calls issued on the file (observability)
 }
 
 // OpenWAL opens or creates the log at path, replays every intact record
@@ -77,6 +77,7 @@ func (w *WAL) replayAndTruncate(replay func(rec []byte)) error {
 		if _, err := w.f.Write(walMagic[:]); err != nil {
 			return fmt.Errorf("store: wal %s: header: %w", w.path, err)
 		}
+		w.syncs++
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("store: wal %s: header: %w", w.path, err)
 		}
@@ -98,8 +99,8 @@ func (w *WAL) replayAndTruncate(replay func(rec []byte)) error {
 		}
 		length := binary.LittleEndian.Uint32(frame[0:4])
 		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length > maxWALRecord {
-			break // impossible length: corrupt frame
+		if length > maxWALRecord || int64(length) > info.Size()-offset-8 {
+			break // impossible length, or longer than the file: corrupt or torn frame
 		}
 		if cap(buf) < int(length) {
 			buf = make([]byte, length)
@@ -220,6 +221,7 @@ func (w *WAL) Reset() error {
 		w.fail(err)
 		return w.err
 	}
+	w.syncs++
 	if err := w.f.Sync(); err != nil {
 		w.fail(err)
 		return w.err
@@ -227,8 +229,9 @@ func (w *WAL) Reset() error {
 	return nil
 }
 
-// Syncs reports how many fsyncs the WAL has issued — with group commit
-// this is ≤ the number of Appends.
+// Syncs reports how many fsyncs the WAL has issued: one for a new
+// file's header, one per Reset, and the group commits, which number at
+// most one per Append.
 func (w *WAL) Syncs() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()

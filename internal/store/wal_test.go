@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -179,5 +181,37 @@ func TestWALReset(t *testing.T) {
 	w2.Close()
 	if len(recs) != 1 || string(recs[0]) != "kept" {
 		t.Fatalf("after reset replay = %q", recs)
+	}
+}
+
+// TestWALLengthPastEndAllocatesNothing: a torn frame whose length prefix
+// claims more bytes than the file holds is truncated without allocating
+// a buffer of that length first.
+func TestWALLengthPastEndAllocatesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "long.wal")
+	w, _ := openCollect(t, path)
+	if err := w.Append([]byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame [8]byte
+	binary.LittleEndian.PutUint32(frame[0:4], maxWALRecord) // 64 MiB claimed, 3 bytes present
+	f.Write(append(frame[:], 1, 2, 3))
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w2, recs := openCollect(t, path)
+	runtime.ReadMemStats(&after)
+	w2.Close()
+	if len(recs) != 1 || string(recs[0]) != "kept" {
+		t.Fatalf("replayed %q, want the one intact record", recs)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("replay allocated %d bytes for a torn frame", grew)
 	}
 }
