@@ -35,7 +35,7 @@ func main() {
 	log.SetPrefix("rasengan-bench: ")
 
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1, table2, fig9..fig17, or all")
+		exp       = flag.String("exp", "all", "experiment: table1, table2, fig9..fig17, summary, ablation, gallery, or all")
 		cases     = flag.Int("cases", 0, "cases per benchmark (0 = scaled default)")
 		iters     = flag.Int("iters", 0, "optimizer iterations (0 = scaled default)")
 		shots     = flag.Int("shots", 0, "shots per execution (0 = experiment default)")
@@ -118,11 +118,8 @@ func main() {
 		"summary":  func() (renderer, error) { return experiments.Summary(cfg) },
 		"ablation": func() (renderer, error) { return experiments.Ablation(cfg) },
 		"gallery":  func() (renderer, error) { return experiments.Gallery(cfg, "") },
-		"persist":  func() (renderer, error) { return experiments.Persist(cfg) },
-		"budget":   func() (renderer, error) { return experiments.Budget(cfg) },
-		"obs":      func() (renderer, error) { return experiments.Obs(cfg) },
 	}
-	order := []string{"table1", "table2", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "summary", "ablation", "gallery", "persist", "budget", "obs"}
+	order := []string{"table1", "table2", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "summary", "ablation", "gallery"}
 
 	var names []string
 	if *exp == "all" {

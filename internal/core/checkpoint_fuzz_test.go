@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"rasengan/internal/parallel"
 	"rasengan/internal/problems"
 )
 
@@ -16,7 +17,10 @@ import (
 // malformed or truncated files.
 func FuzzParseCheckpoint(f *testing.F) {
 	p := problems.FLP(1, 0)
-	opts := Options{MaxIter: 30, Seed: 5}
+	// One worker runs the three starts one after another, so no write is
+	// coalesced with another start's and the seeds are the same 33 files
+	// on every run, however loaded the machine is.
+	opts := Options{MaxIter: 30, Seed: 5, Workers: parallel.Fixed(1)}
 	var files [][]byte
 	opts.Checkpoint = &CheckpointOptions{Write: func(data []byte) error {
 		files = append(files, append([]byte(nil), data...))

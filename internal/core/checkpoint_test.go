@@ -64,6 +64,13 @@ func sampledOpts() core.Options {
 	}
 }
 
+// quebecOpts is sampledOpts on the quebec device model.
+func quebecOpts() core.Options {
+	opts := sampledOpts()
+	opts.Exec.Device = device.Quebec()
+	return opts
+}
+
 func payload(t *testing.T, p *problems.Problem, res *core.Result) []byte {
 	t.Helper()
 	data, err := service.MarshalResultPayload(p, res)
@@ -73,22 +80,25 @@ func payload(t *testing.T, p *problems.Problem, res *core.Result) []byte {
 	return data
 }
 
-// TestCheckpointResumePayloadByteIdentical is the tentpole acceptance
+// TestCheckpointResumePayloadByteIdentical is the checkpoint identity
 // test: resuming from any mid-solve checkpoint — exact or sampled-noisy
 // config, one worker or many — must yield a wire payload byte-identical
 // to the uninterrupted run's. Checkpointing itself must not perturb the
-// solve either.
+// solve either. F1 runs exact and on kyiv; K1 and S1 run on quebec.
 func TestCheckpointResumePayloadByteIdentical(t *testing.T) {
 	defer parallel.SetWorkers(0)
-	p := problems.FLP(1, 0)
 	for _, tc := range []struct {
 		name string
+		p    *problems.Problem
 		opts core.Options
 	}{
-		{"exact", core.Options{MaxIter: 40, Seed: 17}},
-		{"sampled-noisy", sampledOpts()},
+		{"exact", problems.FLP(1, 0), core.Options{MaxIter: 40, Seed: 17}},
+		{"sampled-noisy", problems.FLP(1, 0), sampledOpts()},
+		{"K1-quebec", problems.KPP(1, 0), quebecOpts()},
+		{"S1-quebec", problems.SCP(1, 0), quebecOpts()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
 			parallel.SetWorkers(0)
 			ref, err := core.Solve(context.Background(), p, tc.opts)
 			if err != nil {

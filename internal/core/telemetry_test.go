@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"rasengan/internal/device"
 	"rasengan/internal/obs"
 	"rasengan/internal/parallel"
 	"rasengan/internal/problems"
+	"rasengan/internal/store"
 )
 
 // TestSolveTelemetrySpanCoverage is the acceptance check for the span
@@ -236,19 +238,44 @@ func TestTelemetryExcludedFromFingerprint(t *testing.T) {
 	}
 }
 
-// Telemetry overhead benchmarks: a plain solve against a served-style one,
-// which records stage spans, convergence and live progress the way the
-// solve service does for every solve it executes. The disabled path costs
-// nil checks only; the enabled path pays a few clock reads per evaluation
-// and three spans per optimizer iteration.
+// Overhead benchmarks: a plain solve against a served-style one, which
+// records stage spans, convergence and live progress the way the solve
+// service does for every solve it executes, and against a checkpointed
+// one, which writes a checkpoint at every optimizer iteration through
+// the slot writer rasengan-solve uses behind -checkpoint. The disabled
+// paths cost nil checks only; the served path pays a few clock reads per
+// evaluation and three spans per optimizer iteration.
 
-func benchSolve(b *testing.B, p *problems.Problem, served bool) {
+type benchMode int
+
+const (
+	benchPlain benchMode = iota
+	benchServed
+	benchCheckpointed
+)
+
+func benchSolve(b *testing.B, p *problems.Problem, mode benchMode) {
+	var ckpt *store.CheckpointWriter
+	if mode == benchCheckpointed {
+		var err error
+		if ckpt, err = store.OpenCheckpointWriter(filepath.Join(b.TempDir(), "solve.ckpt")); err != nil {
+			b.Fatal(err)
+		}
+		defer func() {
+			if err := ckpt.Close(); err != nil {
+				b.Error(err)
+			}
+		}()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := Options{Seed: 1}
-		if served {
+		switch mode {
+		case benchServed:
 			opts.Telemetry = TelemetryOptions{Spans: obs.NewRecorder(), Convergence: true, Progress: obs.NewProgressCell()}
+		case benchCheckpointed:
+			opts.Checkpoint = &CheckpointOptions{Every: 1, Write: ckpt.Write}
 		}
 		if _, err := Solve(context.Background(), p, opts); err != nil {
 			b.Fatal(err)
@@ -256,14 +283,18 @@ func benchSolve(b *testing.B, p *problems.Problem, served bool) {
 	}
 }
 
-func BenchmarkSolvePlainF3(b *testing.B)  { benchSolve(b, problems.FLP(3, 0), false) }
-func BenchmarkSolveServedF3(b *testing.B) { benchSolve(b, problems.FLP(3, 0), true) }
-func BenchmarkSolvePlainK3(b *testing.B)  { benchSolve(b, problems.KPP(3, 0), false) }
-func BenchmarkSolveServedK3(b *testing.B) { benchSolve(b, problems.KPP(3, 0), true) }
-func BenchmarkSolvePlainS3(b *testing.B)  { benchSolve(b, problems.SCP(3, 0), false) }
-func BenchmarkSolveServedS3(b *testing.B) { benchSolve(b, problems.SCP(3, 0), true) }
-func BenchmarkSolvePlainG3(b *testing.B)  { benchSolve(b, problems.GCP(3, 0), false) }
-func BenchmarkSolveServedG3(b *testing.B) { benchSolve(b, problems.GCP(3, 0), true) }
+func BenchmarkSolvePlainF3(b *testing.B)        { benchSolve(b, problems.FLP(3, 0), benchPlain) }
+func BenchmarkSolveServedF3(b *testing.B)       { benchSolve(b, problems.FLP(3, 0), benchServed) }
+func BenchmarkSolveCheckpointedF3(b *testing.B) { benchSolve(b, problems.FLP(3, 0), benchCheckpointed) }
+func BenchmarkSolvePlainK3(b *testing.B)        { benchSolve(b, problems.KPP(3, 0), benchPlain) }
+func BenchmarkSolveServedK3(b *testing.B)       { benchSolve(b, problems.KPP(3, 0), benchServed) }
+func BenchmarkSolveCheckpointedK3(b *testing.B) { benchSolve(b, problems.KPP(3, 0), benchCheckpointed) }
+func BenchmarkSolvePlainS3(b *testing.B)        { benchSolve(b, problems.SCP(3, 0), benchPlain) }
+func BenchmarkSolveServedS3(b *testing.B)       { benchSolve(b, problems.SCP(3, 0), benchServed) }
+func BenchmarkSolveCheckpointedS3(b *testing.B) { benchSolve(b, problems.SCP(3, 0), benchCheckpointed) }
+func BenchmarkSolvePlainG3(b *testing.B)        { benchSolve(b, problems.GCP(3, 0), benchPlain) }
+func BenchmarkSolveServedG3(b *testing.B)       { benchSolve(b, problems.GCP(3, 0), benchServed) }
+func BenchmarkSolveCheckpointedG3(b *testing.B) { benchSolve(b, problems.GCP(3, 0), benchCheckpointed) }
 
 // TestSolveProgressMatchesConvergence runs a single-start solve with both
 // the convergence trace and a live-progress cell on. Both are fed from one

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -218,11 +219,15 @@ func (r *EventRing) WriteJSON(w io.Writer) error {
 }
 
 // ParseEventDump decodes a WriteJSON envelope (rasengan-inspect -events
-// reads capture files and /debug/events bodies through it).
+// reads capture files and /debug/events bodies through it). An envelope
+// of any other version, or of none, is refused rather than misread.
 func ParseEventDump(data []byte) (events []Event, dropped uint64, err error) {
 	var dump eventDump
 	if err := json.Unmarshal(data, &dump); err != nil {
 		return nil, 0, err
+	}
+	if dump.Version != EventDumpVersion {
+		return nil, 0, fmt.Errorf("obs: event dump version %d, this build reads version %d", dump.Version, EventDumpVersion)
 	}
 	return dump.Events, dump.Dropped, nil
 }

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,6 +93,65 @@ func TestEventDumpRoundtrip(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`"events":[]`)) {
 		t.Fatalf("empty dump: %s", buf.Bytes())
 	}
+}
+
+// TestEventDumpRejectsOtherVersions: an envelope of another version, or
+// one without a version, is refused with an error naming both versions.
+func TestEventDumpRejectsOtherVersions(t *testing.T) {
+	for _, tc := range []struct{ name, dump, version string }{
+		{"version-2", `{"version":2,"dropped":0,"events":[]}`, "version 2"},
+		{"missing", `{"dropped":0,"events":[{"seq":1,"kind":"wal_recovery"}]}`, "version 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := ParseEventDump([]byte(tc.dump))
+			if err == nil {
+				t.Fatalf("parsed %s without error", tc.dump)
+			}
+			if want := fmt.Sprintf("reads version %d", EventDumpVersion); !strings.Contains(err.Error(), tc.version) || !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q should name %q and %q", err, tc.version, want)
+			}
+		})
+	}
+}
+
+// FuzzParseEventDump: ParseEventDump never panics, and a dump it accepts,
+// marshalled again as an eventDump, parses to the same events and dropped
+// count.
+func FuzzParseEventDump(f *testing.F) {
+	r := testRing(3)
+	r.Record(SevWarn, EventEngineFallback, "job-9", "hash", "noisy <device> \u00e9")
+	r.Record(SevInfo, EventLease, "", "", "width 8 -> 4")
+	r.Record(SevError, EventPanic, "job-9", "", "")
+	r.Record(SevInfo, EventWALRecovery, "", "", "3 jobs")
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, seed := range []string{
+		`{}`, `{"version":1}`, `{"version":2,"events":[]}`, `{"version":1,"dropped":3,"events":null}`,
+		`{"version":1,"events":[{"seq":1,"time_unix_ms":-1,"severity":"x","kind":"k","detail":"\ud800"}]}`,
+		`{"version":1.5}`, `{"VERSION":1,"Events":[{}]}`, `[]`, `null`, `{"version":1,"dropped":-1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, dropped, err := ParseEventDump(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(eventDump{Version: EventDumpVersion, Dropped: dropped, Events: events})
+		if err != nil {
+			t.Fatalf("accepted events do not marshal: %v", err)
+		}
+		events2, dropped2, err := ParseEventDump(again)
+		if err != nil {
+			t.Fatalf("re-marshalled dump %s: %v", again, err)
+		}
+		if dropped2 != dropped || !reflect.DeepEqual(events2, events) {
+			t.Fatalf("round trip: (%d, %+v), want (%d, %+v)", dropped2, events2, dropped, events)
+		}
+	})
 }
 
 // TestEventRingConcurrent hammers Record/Snapshot from many goroutines

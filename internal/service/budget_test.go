@@ -34,11 +34,12 @@ func postRaw(t *testing.T, url, body string) *http.Response {
 	return resp
 }
 
-// TestOversubscribedBudgetIdenticalPayloads is the tentpole load test:
-// 8 concurrent jobs on a 2-worker budget at GOMAXPROCS(2) — 4× logical
-// oversubscription. Every solve records the lease width it actually ran
-// under and the scheduler's invariants at full saturation, and every
-// payload must match the byte-exact solo run of the same request.
+// TestOversubscribedBudgetIdenticalPayloads is the load test of the
+// compute budget: 8 concurrent jobs, exact and noisy, on a 2-worker
+// budget at GOMAXPROCS(2) — 4× logical oversubscription. Every solve
+// records the lease width it actually ran under and the scheduler's
+// invariants at full saturation, and every payload must match the
+// byte-exact solo run of the same request.
 func TestOversubscribedBudgetIdenticalPayloads(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
@@ -86,11 +87,18 @@ func TestOversubscribedBudgetIdenticalPayloads(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// FLP scale-1 cases 0-3 under seeds 1 and 2. Every seed-2 job runs
+	// on the noisy quebec device, so leases are renegotiated under
+	// sampled trajectory solves as well as exact ones.
 	reqs := make([]string, 0, jobs)
 	for c := 0; c < 4; c++ {
 		for seed := 1; seed <= 2; seed++ {
+			noise := ""
+			if seed == 2 {
+				noise = `,"device":"quebec"`
+			}
 			reqs = append(reqs, fmt.Sprintf(
-				`{"spec":{"family":"FLP","scale":1,"case":%d},"config":{"seed":%d,"max_iter":6,"shots":64},"wait_ms":120000}`, c, seed))
+				`{"spec":{"family":"FLP","scale":1,"case":%d},"config":{"seed":%d,"max_iter":6,"shots":64%s},"wait_ms":120000}`, c, seed, noise))
 		}
 	}
 

@@ -59,7 +59,8 @@ type jobPayload struct {
 // openPersistence opens the journal, blob store, and warm-start store
 // under dataDir. The journal keeps the newest retention terminal jobs
 // and every interrupted one, and has compacted that set by the time it
-// returns; replayed counts the entries it held before retention.
+// returns; the blob store then holds only blobs those jobs reference.
+// replayed counts the entries the journal held before retention.
 func openPersistence(dataDir string, warmCapacity, retention int) (p *persistence, kept []store.JobEntry, replayed int, err error) {
 	journal, kept, err := store.OpenJournalRetaining(dataDir, func(entries []store.JobEntry) []store.JobEntry {
 		replayed = len(entries)
@@ -70,6 +71,20 @@ func openPersistence(dataDir string, warmCapacity, retention int) (p *persistenc
 	}
 	blobs, err := store.OpenBlobStore(filepath.Join(dataDir, "blobs"))
 	if err != nil {
+		journal.Close()
+		return nil, nil, 0, err
+	}
+	// Retention has dropped jobs from the journal; their result blobs go
+	// now, before recover reads or re-enqueues anything. Jobs with
+	// identical payloads share one blob, which stays while any of them
+	// is kept.
+	referenced := make(map[string]bool, len(kept))
+	for _, e := range kept {
+		if e.Blob != "" {
+			referenced[e.Blob] = true
+		}
+	}
+	if err := blobs.DeleteExcept(referenced); err != nil {
 		journal.Close()
 		return nil, nil, 0, err
 	}

@@ -434,6 +434,43 @@ func TestOpenCompactsOnce(t *testing.T) {
 	}
 }
 
+// TestRetentionDeletesDroppedBlobs: a blob whose job retention dropped
+// from the journal is deleted at the next open, and the kept job still
+// serves its payload from its own blob.
+func TestRetentionDeletesDroppedBlobs(t *testing.T) {
+	dir := t.TempDir()
+	a, tsA := openDurable(t, Config{DataDir: dir})
+	var last api.Job
+	for i := 0; i < 4; i++ {
+		body := fmt.Sprintf(`{"spec":{"family":"FLP","scale":1,"case":%d},"config":{"seed":1,"max_iter":10},"wait_ms":60000}`, i)
+		code, sr, _ := postSolve(t, tsA, body)
+		if code != http.StatusOK || sr.Status != api.StatusDone {
+			t.Fatalf("solve %d: code %d status %s", i, code, sr.Status)
+		}
+		last = sr
+	}
+	shutdown(t, a, tsA)
+
+	for reopen := 1; reopen <= 2; reopen++ {
+		s, ts := openDurable(t, Config{DataDir: dir, JobRetention: 1})
+		keys, err := s.persist.blobs.Keys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got api.Job
+		if err := json.Unmarshal([]byte(getBody(t, ts.URL+"/v1/jobs/"+last.JobID)), &got); err != nil {
+			t.Fatal(err)
+		}
+		shutdown(t, s, ts)
+		if len(keys) != 1 {
+			t.Errorf("reopen %d: %d blob files for 1 kept job, want 1", reopen, len(keys))
+		}
+		if got.Status != api.StatusDone || !bytes.Equal(got.Result, last.Result) {
+			t.Errorf("reopen %d: kept job %s: status %s, payload identical %v", reopen, last.JobID, got.Status, bytes.Equal(got.Result, last.Result))
+		}
+	}
+}
+
 // FuzzPayloadKey: on any valid JSON, the cache key recovery reads from a
 // journaled payload, and whether reading it fails, are what decoding the
 // payload with encoding/json gives, whether the scan or the decoder

@@ -78,6 +78,27 @@ func (b *BlobStore) Keys() ([]string, error) {
 	return keys, nil
 }
 
+// DeleteExcept removes every blob whose key is not in keep. Only names
+// that are valid blob keys are candidates, so temp files and anything
+// else in the directory stay. The deletions are not one atomic step: a
+// crash partway leaves some unreferenced blobs, which the next call
+// removes.
+func (b *BlobStore) DeleteExcept(keep map[string]bool) error {
+	keys, err := b.Keys()
+	if err != nil {
+		return err
+	}
+	for _, key := range keys {
+		if keep[key] {
+			continue
+		}
+		if err := os.Remove(filepath.Join(b.dir, key)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: delete blob: %w", err)
+		}
+	}
+	return nil
+}
+
 // validBlobKey accepts exactly lowercase hex SHA-256 names; anything
 // else (tempfiles, path tricks) is rejected.
 func validBlobKey(key string) bool {

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -164,4 +166,65 @@ func TestCheckpointWriterStaleTail(t *testing.T) {
 	if got, err := LoadCheckpoint(path); err != nil || string(got) != "s2" {
 		t.Fatalf("stale-tail load: %q (len %d), %v", got, len(got), err)
 	}
+}
+
+// FuzzParseCkptFrame: parseCkptFrame never panics, and a frame it accepts
+// has its payload inside the input, under the header's length, sequence
+// and CRC-32C. The frame CheckpointWriter.Write builds from a fuzzed
+// payload and sequence number parses back to both, and no truncation of
+// it parses.
+func FuzzParseCkptFrame(f *testing.F) {
+	frame := func(seq uint32, payload []byte) []byte {
+		var hdr [ckptHeaderLen]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], ckptMagic)
+		binary.LittleEndian.PutUint32(hdr[4:8], seq)
+		binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, castagnoli))
+		return append(hdr[:], payload...)
+	}
+	f.Add([]byte(nil), uint32(0))
+	f.Add(frame(1, []byte(`{"version":1}`)), uint32(1))
+	f.Add(append(frame(7, []byte("s2")), "stale tail"...), uint32(7))
+	f.Add(frame(2, []byte("torn"))[:ckptHeaderLen+2], uint32(2))
+	badCRC := frame(3, []byte("crc"))
+	badCRC[12] ^= 1
+	f.Add(badCRC, uint32(3))
+	f.Add(frame(0xFFFFFFFF, nil), uint32(0xFFFFFFFF))
+	w, err := OpenCheckpointWriter(filepath.Join(f.TempDir(), "fuzz.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer w.Close()
+	f.Fuzz(func(t *testing.T, data []byte, seq uint32) {
+		if payload, gotSeq, ok := parseCkptFrame(data); ok {
+			n := int(binary.LittleEndian.Uint32(data[8:12]))
+			if len(data) < ckptHeaderLen+n || len(payload) != n || !bytes.Equal(payload, data[ckptHeaderLen:ckptHeaderLen+n]) {
+				t.Fatalf("accepted payload %q is not the %d bytes after the header of %q", payload, n, data)
+			}
+			if gotSeq != binary.LittleEndian.Uint32(data[4:8]) || crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[12:16]) {
+				t.Fatalf("accepted %q with sequence %d and a CRC other than the header's", data, gotSeq)
+			}
+		}
+
+		w.seq = seq
+		slot := w.slots[w.next]
+		if err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		// The slot may hold a longer earlier frame's tail; the frame is
+		// what this Write put at its start.
+		written := make([]byte, ckptHeaderLen+len(data))
+		if _, err := slot.ReadAt(written, 0); err != nil {
+			t.Fatal(err)
+		}
+		payload, gotSeq, ok := parseCkptFrame(written)
+		if !ok || gotSeq != seq || !bytes.Equal(payload, data) {
+			t.Fatalf("written frame parsed to (%q, %d, %v), want (%q, %d, true)", payload, gotSeq, ok, data, seq)
+		}
+		for n := 0; n < len(written); n++ {
+			if _, _, ok := parseCkptFrame(written[:n]); ok {
+				t.Fatalf("the frame truncated to %d of %d bytes parsed", n, len(written))
+			}
+		}
+	})
 }

@@ -63,6 +63,40 @@ func TestBlobStoreRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestBlobStoreDeleteExcept: only blobs outside the kept set go; files
+// whose names are not blob keys stay.
+func TestBlobStoreDeleteExcept(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "blobs")
+	b, err := OpenBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, p := range []string{"kept", "dropped-1", "dropped-2"} {
+		key, err := b.Put([]byte(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	foreign := filepath.Join(dir, ".tmp-"+keys[1])
+	if err := os.WriteFile(foreign, []byte("dropped-1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeleteExcept(map[string]bool{keys[0]: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Keys(); err != nil || len(got) != 1 || got[0] != keys[0] {
+		t.Fatalf("keys after DeleteExcept: %v (err %v), want [%s]", got, err, keys[0])
+	}
+	if _, err := b.Get(keys[0]); err != nil {
+		t.Fatalf("kept blob: %v", err)
+	}
+	if _, err := os.Stat(foreign); err != nil {
+		t.Fatalf("a file that is not a blob was touched: %v", err)
+	}
+}
+
 func TestJournalRecoveryFold(t *testing.T) {
 	dir := t.TempDir()
 	j, recovered, err := OpenJournal(dir)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -213,5 +215,82 @@ func TestWALLengthPastEndAllocatesNothing(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("replay allocated %d bytes for a torn frame", grew)
+	}
+}
+
+// FuzzWALReplay: a WAL file holding the magic and then arbitrary bytes
+// replays exactly the records of its longest well-formed frame prefix,
+// as walFrames decodes it, and is truncated to the end of that prefix. A
+// record appended after the open replays after them on a reopen.
+func FuzzWALReplay(f *testing.F) {
+	frame := func(rec []byte) []byte {
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(rec, castagnoli))
+		return append(hdr[:], rec...)
+	}
+	two := append(frame([]byte("record-0")), frame([]byte(`{"t":"submit","id":"job-1"}`))...)
+	badCRC := append([]byte(nil), two...)
+	badCRC[5] ^= 0xFF
+	huge := append(append([]byte(nil), two...), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)
+	f.Add([]byte(nil))
+	f.Add(frame(nil))
+	f.Add(two)
+	f.Add(two[:len(two)-3]) // torn payload
+	f.Add(append(append([]byte(nil), two...), 1, 2, 3))
+	f.Add(badCRC)
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(path, append(walMagic[:], body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, end := walFrames(body)
+		w, got := openCollect(t, path)
+		if !slices.EqualFunc(got, want, bytes.Equal) {
+			w.Close()
+			t.Fatalf("replayed %q, want %q", got, want)
+		}
+		if size := fileSize(t, path); size != int64(len(walMagic)+end) {
+			w.Close()
+			t.Fatalf("file is %d bytes after replay, want %d (header and %d bytes of frames)", size, len(walMagic)+end, end)
+		}
+		appended := []byte("appended after replay")
+		if err := w.Append(appended); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w, got = openCollect(t, path)
+		w.Close()
+		if want = append(want, appended); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("reopen replayed %q, want %q", got, want)
+		}
+	})
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// walFrames is a reference decoder for the bytes after a WAL header: it
+// returns the records of the longest prefix of well-formed frames (length
+// at most maxWALRecord, frame inside body, CRC-32C match) and that
+// prefix's length.
+func walFrames(body []byte) (recs [][]byte, end int) {
+	for {
+		rest := body[end:]
+		if len(rest) < 8 {
+			return recs, end
+		}
+		n := binary.LittleEndian.Uint32(rest[0:4])
+		if n > maxWALRecord || uint64(n) > uint64(len(rest)-8) {
+			return recs, end
+		}
+		rec := rest[8 : 8+n]
+		if crc32.Checksum(rec, castagnoli) != binary.LittleEndian.Uint32(rest[4:8]) {
+			return recs, end
+		}
+		recs = append(recs, rec)
+		end += 8 + int(n)
 	}
 }
